@@ -4,7 +4,8 @@ One recurrent layer (input, forget, output, and candidate gates packed
 into fused weight matrices) feeds a softmax head through inverted dropout
 during training. Training is plain backpropagation through time over the
 real steps of each sequence (padding is never touched), one sequence per
-Adam update.
+Adam update. Parameters, gradients and the Adam moments each sit in one
+contiguous float64 buffer, which the update rewrites in place.
 """
 
 from __future__ import annotations
@@ -26,9 +27,16 @@ class NumericError(RuntimeError):
 
 
 class TrainingDivergence(RuntimeError):
+    """The mean training loss of an epoch became non-finite."""
+
     def __init__(self, epoch: int):
-        super().__init__(f"training loss became non-finite at epoch {epoch}")
+        # args holds the epoch, not the message, so that the exception
+        # pickles back to itself when it leaves a worker process.
+        super().__init__(epoch)
         self.epoch = epoch
+
+    def __str__(self) -> str:
+        return f"training loss became non-finite at epoch {self.epoch}"
 
 
 @dataclass(frozen=True)
@@ -89,25 +97,50 @@ class TrainConfig:
             raise ValueError("init_gain must be positive")
 
 
+def _flat_zeros(shapes: Sequence[tuple[int, ...]]) -> LstmParameters:
+    """Zero parameters whose arrays are consecutive views, in PARAM_ORDER,
+    into one float64 buffer."""
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    # np.zeros would take fresh pages from calloc, and the first writes to
+    # them fault on every call; zeroing reused memory is cheaper.
+    buffer = np.empty(sum(sizes))
+    buffer.fill(0.0)
+    views = []
+    offset = 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buffer[offset:offset + size].reshape(shape))
+        offset += size
+    return LstmParameters(*views)
+
+
+def _flat(params: LstmParameters) -> np.ndarray:
+    """The one buffer behind params, as laid out by _flat_zeros."""
+    buffer = params.W.base
+    arrays = params.arrays().values()
+    if (buffer is None or buffer.size != sum(a.size for a in arrays)
+            or any(a.base is not buffer for a in arrays)):
+        raise ValueError("parameters do not share one flat buffer; "
+                         "build them with init_parameters or zero_like")
+    return buffer
+
+
 def init_parameters(input_dim: int, hidden: int, output_dim: int,
                     rng: np.random.Generator, input_gain: float = 1.0) -> LstmParameters:
     def glorot(rows: int, cols: int) -> np.ndarray:
         bound = np.sqrt(6.0 / (rows + cols))
         return rng.uniform(-bound, bound, size=(rows, cols))
 
-    b = np.zeros(4 * hidden)
-    b[hidden:2 * hidden] = 1.0  # forget-gate bias keeps early memories alive
-    return LstmParameters(
-        W=glorot(input_dim, 4 * hidden) * input_gain,
-        U=glorot(hidden, 4 * hidden),
-        b=b,
-        w_out=glorot(hidden, output_dim),
-        b_out=np.zeros(output_dim),
-    )
+    params = _flat_zeros([(input_dim, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,),
+                          (hidden, output_dim), (output_dim,)])
+    params.W[:] = glorot(input_dim, 4 * hidden) * input_gain
+    params.U[:] = glorot(hidden, 4 * hidden)
+    params.b[hidden:2 * hidden] = 1.0  # forget-gate bias keeps early memories alive
+    params.w_out[:] = glorot(hidden, output_dim)
+    return params
 
 
 def zero_like(params: LstmParameters) -> LstmParameters:
-    return LstmParameters(**{k: np.zeros_like(v) for k, v in params.arrays().items()})
+    return _flat_zeros([a.shape for a in params.arrays().values()])
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -150,14 +183,13 @@ def _run_forward(params: LstmParameters, seq: EncodedSequence,
     probs = np.zeros((steps, params.output_dim))
     for t in range(steps):
         z = xs[t] @ params.W + hs[t] @ params.U + params.b
-        i = _sigmoid(z[:h])
-        f = _sigmoid(z[h:2 * h])
-        o = _sigmoid(z[2 * h:3 * h])
-        g = np.tanh(z[3 * h:])
+        gate = gates[t]
+        gate[:3 * h] = _sigmoid(z[:3 * h])
+        np.tanh(z[3 * h:], out=gate[3 * h:])
+        i, f, o, g = gate[:h], gate[h:2 * h], gate[2 * h:3 * h], gate[3 * h:]
         c = f * cs[t] + i * g
         tc = np.tanh(c)
         hid = o * tc
-        gates[t] = np.concatenate([i, f, o, g])
         cs[t + 1] = c
         hs[t + 1] = hid
         tanh_cs[t] = tc
@@ -198,16 +230,17 @@ def loss_and_gradients(
     h = params.hidden
     steps = seq.valid_steps
     target_steps = seq.target_steps
-    dW = np.zeros_like(params.W)
-    dU = np.zeros_like(params.U)
-    db = np.zeros_like(params.b)
-    dw_out = np.zeros_like(params.w_out)
-    db_out = np.zeros_like(params.b_out)
+    grads = zero_like(params)
+    dW, dU, db, dw_out, db_out = grads.arrays().values()
+    # dz and the two weight-gradient outer products are rewritten each step.
+    dz = np.empty(4 * h)
+    outer_x = np.empty_like(dW)
+    outer_h = np.empty_like(dU)
     dh_next = np.zeros(h)
     dc_next = np.zeros(h)
     loss = 0.0
     for t in range(steps - 1, -1, -1):
-        dh = dh_next.copy()
+        dh = dh_next  # a fresh array each step, so it may be updated in place
         if t < target_steps:
             y = seq.targets[t]
             p = cache.probs[t]
@@ -217,55 +250,67 @@ def loss_and_gradients(
             db_out += dlogits
             dhd = params.w_out @ dlogits
             dh += dhd * cache.masks[t] if cache.masks is not None else dhd
-        i, f, o, g = (cache.gates[t][:h], cache.gates[t][h:2 * h],
-                      cache.gates[t][2 * h:3 * h], cache.gates[t][3 * h:])
+        gate = cache.gates[t]
+        sig = gate[:3 * h]
+        i, f, o, g = gate[:h], gate[h:2 * h], gate[2 * h:3 * h], gate[3 * h:]
         tc = cache.tanh_cs[t]
-        do = dh * tc
         dc = dh * o * (1.0 - tc * tc) + dc_next
-        di = dc * g
-        df = dc * cache.cs[t]
-        dg = dc * i
+        # dz = [di, df, do] * sig * (1 - sig) and dg * (1 - g * g), with
+        # di = dc * g, df = dc * c_prev, do = dh * tanh(c), dg = dc * i.
+        np.multiply(dc, g, out=dz[:h])
+        np.multiply(dc, cache.cs[t], out=dz[h:2 * h])
+        np.multiply(dh, tc, out=dz[2 * h:3 * h])
+        dz[:3 * h] *= sig
+        dz[:3 * h] *= 1.0 - sig
+        np.multiply(dc, i, out=dz[3 * h:])
+        dz[3 * h:] *= 1.0 - g * g
         dc_next = dc * f
-        dz = np.concatenate([
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            do * o * (1.0 - o),
-            dg * (1.0 - g * g),
-        ])
-        dW += np.outer(cache.xs[t], dz)
-        dU += np.outer(cache.hs[t], dz)
+        dW += np.outer(cache.xs[t], dz, out=outer_x)
+        dU += np.outer(cache.hs[t], dz, out=outer_h)
         db += dz
         dh_next = params.U @ dz
-    grads = LstmParameters(dW, dU, db, dw_out, db_out)
     return loss, target_steps, grads
 
 
 @dataclass
 class AdamState:
-    m: LstmParameters
-    v: LstmParameters
+    """Flat first and second moments, plus two scratch vectors of the
+    same size for the update."""
+
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
 
     @classmethod
     def for_params(cls, params: LstmParameters) -> "AdamState":
-        return cls(zero_like(params), zero_like(params))
+        size = _flat(params).size
+        return cls(np.zeros(size), np.zeros(size), (np.empty(size), np.empty(size)))
 
 
 def adam_step(params: LstmParameters, grads: LstmParameters, state: AdamState,
               cfg: TrainConfig) -> LstmParameters:
+    """Update params in place and return them. The operations are those of
+    p - lr * (m / c1) / (sqrt(v / c2) + eps), in the same order, so the
+    result is bit-identical to that out-of-place formula."""
     state.t += 1
-    updated = {}
-    for name in PARAM_ORDER:
-        g = getattr(grads, name)
-        m = getattr(state.m, name)
-        v = getattr(state.v, name)
-        m[:] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[:] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1 ** state.t)
-        v_hat = v / (1.0 - cfg.beta2 ** state.t)
-        updated[name] = getattr(params, name) - cfg.learning_rate * m_hat / (
-            np.sqrt(v_hat) + cfg.epsilon)
-    return LstmParameters(**updated)
+    p, g, m, v = _flat(params), _flat(grads), state.m, state.v
+    s, u = state.scratch
+    m *= cfg.beta1
+    np.multiply(g, 1.0 - cfg.beta1, out=s)
+    m += s
+    v *= cfg.beta2
+    np.multiply(g, 1.0 - cfg.beta2, out=s)
+    s *= g
+    v += s
+    np.divide(v, 1.0 - cfg.beta2 ** state.t, out=s)
+    np.sqrt(s, out=s)
+    s += cfg.epsilon
+    np.divide(m, 1.0 - cfg.beta1 ** state.t, out=u)
+    u *= cfg.learning_rate
+    u /= s
+    p -= u
+    return params
 
 
 def make_dropout_masks(rng: np.random.Generator, steps: int, hidden: int,
@@ -304,7 +349,7 @@ def train(
             loss, steps, grads = loss_and_gradients(params, seq, masks)
             total_loss += loss
             total_steps += steps
-            params = adam_step(params, grads, state, cfg)
+            adam_step(params, grads, state, cfg)
         epoch_loss = total_loss / max(total_steps, 1)
         if not np.isfinite(epoch_loss):
             raise TrainingDivergence(epoch)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -225,19 +226,18 @@ def run_pipeline(config: PipelineConfig, out_root: Path) -> PipelineRun:
     (run_dir / "config.cfg").write_text(config.canonical_text())
     run = PipelineRun(config, run_dir)
 
+    @contextmanager
     def phase(name: str):
-        class _Timer:
-            def __enter__(self_inner):
-                self_inner.start = time.perf_counter()
-                return self_inner
-
-            def __exit__(self_inner, exc_type, exc, tb):
-                run.timings[name] = time.perf_counter() - self_inner.start
-                if exc is not None and not isinstance(exc, PhaseError):
-                    raise PhaseError(name, exc) from exc
-                return False
-
-        return _Timer()
+        """Time the block into run.timings; wrap what it raises in PhaseError."""
+        start = time.perf_counter()
+        try:
+            yield
+        except PhaseError:
+            raise
+        except BaseException as exc:
+            raise PhaseError(name, exc) from exc
+        finally:
+            run.timings[name] = time.perf_counter() - start
 
     with phase("config"):
         schema, reference, unitary, sampler, ranges = _load_domain(config)

@@ -10,8 +10,10 @@ broken by fewest total predicates and then by model id.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
 from .core import PlanTrace
@@ -36,21 +38,43 @@ class TrainedFold:
     loss_history: tuple[float, ...]
 
 
+def _train_fold(dataset, cfg: TrainConfig, k: int):
+    # train is looked up here at call time, so a forked worker runs
+    # whatever this module binds it to in the parent.
+    return train(dataset, cfg, seed_key=("fold", k))
+
+
 def train_folds(
     traces: Sequence[PlanTrace], layout: EncodingLayout, cfg: TrainConfig
 ) -> list[TrainedFold]:
-    """One trained network per fold, all sharing the corpus padding."""
+    """One trained network per fold, all sharing the corpus padding.
+
+    The training splits are encoded here; the folds then train in
+    min(folds, usable CPUs) forked worker processes, or in this process
+    when that is one. Fold k is seeded only by ("fold", k), so the results
+    are byte-identical to training the folds one after another. The pool
+    lives only inside this call: its workers have exited and been joined
+    before it returns or raises.
+    """
     pad_len = max_action_count(traces)
     folds = fold_split(len(traces), cfg.folds)
-    out = []
-    for k, validation in enumerate(folds):
-        held_out = set(validation)
-        train_idx = [i for i in range(len(traces)) if i not in held_out]
-        dataset = encode_corpus([traces[i] for i in train_idx], layout, pad_len=pad_len)
-        params, history = train(dataset, cfg, seed_key=("fold", k))
-        out.append(TrainedFold(k, params, tuple(train_idx), tuple(validation),
-                               tuple(history)))
-    return out
+    splits = [sorted(set(range(len(traces))) - set(validation)) for validation in folds]
+    datasets = [encode_corpus([traces[i] for i in train_idx], layout, pad_len=pad_len)
+                for train_idx in splits]
+    workers = min(len(folds), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        results = list(map(_train_fold, datasets, repeat(cfg), range(len(folds))))
+    else:
+        # Imported here so that importing pdeeplearn does not pay for them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork starts no resource tracker or fork server that could
+        # outlive the pool, unlike spawn and forkserver.
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_train_fold, datasets, repeat(cfg), range(len(folds))))
+    return [TrainedFold(k, params, tuple(splits[k]), tuple(folds[k]), tuple(history))
+            for k, (params, history) in enumerate(results)]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 neutrality, training signal, determinism, serialization."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ import pytest
 from pdeeplearn.encoding import EncodedSequence
 from pdeeplearn.lstm import (
     PARAM_ORDER,
+    AdamState,
     LstmParameters,
     TrainConfig,
+    TrainingDivergence,
     accuracy,
+    adam_step,
     init_parameters,
     load_params,
     loss_and_gradients,
@@ -20,6 +24,7 @@ from pdeeplearn.lstm import (
     save_params,
     sequence_loss,
     train,
+    zero_like,
 )
 from pdeeplearn.util import stream_rng
 
@@ -241,3 +246,43 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(init_gain=0.0)
+
+
+def test_adam_step_matches_the_out_of_place_formula_bit_for_bit():
+    rng = stream_rng(7, "adam")
+    cfg = TrainConfig(learning_rate=3e-3)
+    params = init_parameters(5, 4, 3, rng)
+    state = AdamState.for_params(params)
+    expected = {name: getattr(params, name).copy() for name in PARAM_ORDER}
+    m = {name: np.zeros_like(a) for name, a in expected.items()}
+    v = {name: np.zeros_like(a) for name, a in expected.items()}
+    for t in range(1, 6):
+        grads = zero_like(params)
+        for name in PARAM_ORDER:
+            getattr(grads, name)[...] = rng.normal(size=expected[name].shape)
+        returned = adam_step(params, grads, state, cfg)
+        assert returned is params
+        for name in PARAM_ORDER:
+            g = getattr(grads, name)
+            m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
+            v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
+            m_hat = m[name] / (1.0 - cfg.beta1 ** t)
+            v_hat = v[name] / (1.0 - cfg.beta2 ** t)
+            expected[name] = expected[name] - cfg.learning_rate * m_hat / (
+                np.sqrt(v_hat) + cfg.epsilon)
+            assert np.array_equal(getattr(params, name), expected[name])
+
+
+def test_adam_step_rejects_parameters_outside_one_buffer():
+    params = init_parameters(3, 2, 2, stream_rng(8, "adam"))
+    loose = params.copy()
+    with pytest.raises(ValueError):
+        adam_step(loose, zero_like(params), AdamState.for_params(params), TrainConfig())
+
+
+def test_training_divergence_survives_pickling():
+    error = TrainingDivergence(3)
+    again = pickle.loads(pickle.dumps(error))
+    assert type(again) is TrainingDivergence
+    assert again.epoch == 3
+    assert str(again) == str(error) == "training loss became non-finite at epoch 3"

@@ -1,12 +1,17 @@
 """Fold-harness and selection tests."""
 
+import os
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from pdeeplearn import scoring
 from pdeeplearn.domains import get_domain
-from pdeeplearn.encoding import build_layout
-from pdeeplearn.lstm import TrainConfig
+from pdeeplearn.encoding import build_layout, encode_corpus, max_action_count
+from pdeeplearn.lstm import PARAM_ORDER, TrainConfig, TrainingDivergence, train
+from pdeeplearn.pipeline import run_pipeline, shipped_config
 from pdeeplearn.pruning import SampledModel, SampledModelSet, sample_models
 from pdeeplearn.scoring import ModelScore, fold_split, ranked, score_models, train_folds
 from pdeeplearn.tracegen import GenerationSpec, PlannerConfig, generate_traces
@@ -92,3 +97,65 @@ def test_score_models_scores_every_model(kiln_setup):
     assert selected in {s.model_id for s in scores}
     best = ranked(scores)[0]
     assert best.model_id == selected
+
+
+def assert_no_child_process():
+    # Every process a pool started has exited and been reaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Pretend the given number of CPUs is usable, so that both the
+    in-process and the worker-pool path run on any machine."""
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    return use
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("count", [1, 2])
+def test_train_folds_is_bit_identical_to_serial_training(kiln_setup, cpus, dropout, count):
+    schema, model, unitary, traces, layout, _ = kiln_setup
+    cpus(count)
+    cfg = TrainConfig(hidden_units=10, dropout_rate=dropout, epochs=2, folds=3, rng_seed=5)
+    folds = train_folds(traces, layout, cfg)
+    assert_no_child_process()
+    assert [f.fold_index for f in folds] == [0, 1, 2]
+    pad_len = max_action_count(traces)
+    for k, fold in enumerate(folds):
+        dataset = encode_corpus([traces[i] for i in fold.train_indices], layout,
+                                pad_len=pad_len)
+        params, history = train(dataset, cfg, seed_key=("fold", k))
+        assert fold.loss_history == tuple(history)
+        for name in PARAM_ORDER:
+            assert np.array_equal(getattr(fold.params, name), getattr(params, name))
+
+
+def test_worker_exception_reaches_the_caller_unchanged(kiln_setup, cpus, monkeypatch):
+    schema, model, unitary, traces, layout, _ = kiln_setup
+    cpus(2)
+
+    def diverge(dataset, cfg, seed_key=()):
+        # The epoch carries the id of the process that raised.
+        raise TrainingDivergence(os.getpid())
+
+    # Forked workers inherit the patched binding.
+    monkeypatch.setattr(scoring, "train", diverge)
+    cfg = TrainConfig(hidden_units=4, dropout_rate=0.0, epochs=1, folds=2)
+    with pytest.raises(TrainingDivergence) as caught:
+        train_folds(traces, layout, cfg)
+    assert type(caught.value) is TrainingDivergence
+    assert caught.value.epoch != os.getpid()
+    assert str(caught.value) == f"training loss became non-finite at epoch {caught.value.epoch}"
+    assert_no_child_process()
+
+
+def test_no_process_outlives_run_pipeline(tmp_path, cpus):
+    cpus(2)
+    config = replace(shipped_config("kiln"), trace_count=20, hidden_units=8, epochs=1,
+                     folds=2)
+    run = run_pipeline(config, tmp_path)
+    assert run.report is not None
+    assert_no_child_process()
