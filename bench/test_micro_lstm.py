@@ -1,0 +1,107 @@
+"""Micro-benchmarks of the LSTM training hot path, in this process.
+
+    PYTHONPATH=src python -m pytest bench
+    PYTHONPATH=src python -m pytest bench --benchmark-disable   # run each once
+
+For every shipped config, the fold-0 training split is encoded as the
+pipeline encodes it (same traces, padding and initial parameters), and
+one round is a pass over that split calling one function per sequence:
+loss_and_gradients into one reused gradient buffer as train calls it,
+adam_step, or lstm_forward. extra_info["sequences"] holds the split size;
+a round's time divided by it is the per-sequence time. The pipeline
+trains its folds in worker processes, where perfbench's tracer cannot
+see these calls, so they are timed here.
+"""
+
+from dataclasses import dataclass
+from typing import Callable
+
+import pytest
+
+from pdeeplearn.domains import load_domain
+from pdeeplearn.encoding import EncodedSequence, build_layout, encode_corpus, max_action_count
+from pdeeplearn.lstm import (
+    AdamState,
+    LstmParameters,
+    TrainConfig,
+    adam_step,
+    init_parameters,
+    loss_and_gradients,
+    lstm_forward,
+    zero_like,
+)
+from pdeeplearn.pipeline import shipped_config
+from pdeeplearn.scoring import fold_split
+from pdeeplearn.tracegen import GenerationSpec, PlannerConfig, doubling_schedule, generate_traces
+from pdeeplearn.util import stream_rng
+
+
+@dataclass
+class Fold0:
+    dataset: list[EncodedSequence]
+    cfg: TrainConfig
+    fresh_params: Callable[[], LstmParameters]
+
+
+@pytest.fixture(scope="module", params=("gripper", "kiln", "battery"))
+def fold0(request) -> Fold0:
+    config = shipped_config(request.param)
+    domain = load_domain(config.domain)
+    spec = GenerationSpec(problem_count=config.trace_count, object_count_ranges=domain.ranges,
+                          trace_targets=doubling_schedule(config.trace_count),
+                          rng_seed=config.seed, catalog_size=config.catalog)
+    planner = PlannerConfig(strategy=config.strategy, max_expansions=config.max_expansions,
+                            rng_seed=config.seed)
+    traces = generate_traces(spec, domain.reference, planner, domain.sampler)
+    held_out = set(fold_split(len(traces), config.folds)[0])
+    dataset = encode_corpus([t for i, t in enumerate(traces) if i not in held_out],
+                            build_layout(domain.schema), pad_len=max_action_count(traces))
+    cfg = TrainConfig(hidden_units=config.hidden_units, dropout_rate=config.dropout,
+                      epochs=config.epochs, folds=config.folds,
+                      learning_rate=config.learning_rate, init_gain=config.init_gain,
+                      rng_seed=config.seed)
+    # The shipped configs train without dropout, so no masks are drawn.
+    assert cfg.dropout_rate == 0.0
+
+    def fresh_params() -> LstmParameters:
+        d, n = dataset[0].inputs.shape[1], dataset[0].targets.shape[1]
+        return init_parameters(d, cfg.hidden_units, n,
+                               stream_rng(cfg.rng_seed, "init", "fold", 0), cfg.init_gain)
+
+    return Fold0(dataset, cfg, fresh_params)
+
+
+def test_loss_and_gradients(benchmark, fold0):
+    params = fold0.fresh_params()
+    grads = zero_like(params)
+
+    def one_pass():
+        for seq in fold0.dataset:
+            loss_and_gradients(params, seq, out=grads)
+
+    benchmark.extra_info["sequences"] = len(fold0.dataset)
+    benchmark(one_pass)
+
+
+def test_adam_step(benchmark, fold0):
+    params = fold0.fresh_params()
+    _, _, grads = loss_and_gradients(params, fold0.dataset[0])
+    state = AdamState.for_params(params)
+
+    def one_pass():
+        for _ in fold0.dataset:
+            adam_step(params, grads, state, fold0.cfg)
+
+    benchmark.extra_info["sequences"] = len(fold0.dataset)
+    benchmark(one_pass)
+
+
+def test_lstm_forward(benchmark, fold0):
+    params = fold0.fresh_params()
+
+    def one_pass():
+        for seq in fold0.dataset:
+            lstm_forward(params, seq)
+
+    benchmark.extra_info["sequences"] = len(fold0.dataset)
+    benchmark(one_pass)

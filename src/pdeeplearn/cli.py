@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import candidates as cand
-from . import domains as domain_registry
+from .domains import LoadedDomain, load_domain
 from .encoding import build_layout
 from .lstm import TrainConfig, save_params
 from .mining import (
@@ -23,7 +23,7 @@ from .mining import (
     rules_report_json,
     stability_scan,
 )
-from .pddl import parse_domain, parse_problem, parse_traces, serialize_traces
+from .pddl import parse_traces, serialize_traces
 from .pipeline import PhaseError, parse_config, run_pipeline
 from .pruning import manifest_json, manifest_load, prune_candidates, sample_models
 from .scoring import score_models, scores_json, train_folds
@@ -39,19 +39,6 @@ class CliError(RuntimeError):
     """A usage problem reported as a one-line error with exit code 1."""
 
 
-def _load_domain(arg: str):
-    """Domain by registry name or by .pddl path -> (schema, reference, info)."""
-    if arg in domain_registry.REGISTRY:
-        info = domain_registry.get_domain(arg)
-        schema, reference, _ = info.load()
-        return schema, reference, info
-    path = Path(arg)
-    if not path.exists():
-        raise CliError(f"domain {arg!r} is neither registered nor a file")
-    schema, reference = parse_domain(path.read_text())
-    return schema, reference, None
-
-
 def _domain_of_traces(path: Path) -> str:
     from .pddl import Atom, Group, read_sexprs
 
@@ -65,42 +52,33 @@ def _domain_of_traces(path: Path) -> str:
     raise CliError(f"{path} has no (:domain ...) header")
 
 
-def _resolve_for_traces(args) -> tuple:
-    domain_arg = getattr(args, "domain", None) or _domain_of_traces(Path(args.traces))
-    schema, reference, info = _load_domain(domain_arg)
-    traces = parse_traces(Path(args.traces).read_text(), schema)
-    return schema, reference, info, traces
+def _domain_and_traces(args) -> tuple[LoadedDomain, list]:
+    """The domain named by --domain or else by the trace file header, and
+    the traces parsed against it."""
+    domain = load_domain(args.domain or _domain_of_traces(Path(args.traces)))
+    return domain, parse_traces(Path(args.traces).read_text(), domain.schema)
 
 
 def _cmd_generate(args) -> int:
-    schema, reference, info = _load_domain(args.domain)
-    if info is not None:
-        sampler = info.sampler
-        ranges = dict(info.default_ranges)
-        unitary = parse_problem(info.unitary_text(), schema)
-    else:
-        if not args.unitary:
-            raise CliError("unregistered domains need --unitary")
-        unitary = parse_problem(Path(args.unitary).read_text(), schema)
-        sampler = domain_registry.fixed_sampler(unitary.object_table(), unitary.init)
-        ranges = {}
+    domain = load_domain(args.domain, args.unitary)
+    if domain.sampler is None:
+        raise CliError("unregistered domains need --unitary")
     spec = GenerationSpec(
         problem_count=args.count,
-        object_count_ranges=ranges,
+        object_count_ranges=domain.ranges,
         trace_targets=doubling_schedule(args.count),
         rng_seed=args.seed,
     )
     cfg = PlannerConfig(strategy=args.strategy, max_expansions=args.max_expansions,
                         rng_seed=args.seed)
-    traces = generate_traces(spec, reference, cfg, sampler)
-    Path(args.out).write_text(serialize_traces(traces, schema.name))
+    traces = generate_traces(spec, domain.reference, cfg, domain.sampler)
+    Path(args.out).write_text(serialize_traces(traces, domain.schema.name))
     print(f"wrote {len(traces)} traces to {args.out}")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    schema, _, _ = _load_domain(args.domain)
-    space = cand.build_space(schema, args.strict_del, args.max_rel)
+    space = cand.build_space(load_domain(args.domain).schema, args.strict_del, args.max_rel)
     Path(args.out).write_text(cand.write_candidates(space))
     for action, count in sorted(space.counts().items()):
         print(f"{action}: {count} candidates")
@@ -110,7 +88,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    _, _, _, traces = _resolve_for_traces(args)
+    _, traces = _domain_and_traces(args)
     db = SequenceDatabase.from_traces(traces)
     schedule = (tuple(int(s) for s in args.schedule.split(","))
                 if args.schedule else doubling_schedule(len(db)))
@@ -127,7 +105,7 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    schema, _, _ = _load_domain(args.domain)
+    schema = load_domain(args.domain).schema
     space = cand.read_candidates(Path(args.candidates).read_text(), schema)
     rules = json.loads(Path(args.rules).read_text())
     pairs = [tuple(p) for p in rules["frequent_pairs"]]
@@ -143,19 +121,15 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    schema, reference, info = _load_domain(args.domain)
-    space = cand.read_candidates(Path(args.candidates).read_text(), schema)
-    if args.unitary:
-        unitary = parse_problem(Path(args.unitary).read_text(), schema)
-    elif info is not None:
-        unitary = parse_problem(info.unitary_text(), schema)
-    else:
+    domain = load_domain(args.domain, args.unitary)
+    if domain.unitary is None:
         raise CliError("unregistered domains need --unitary")
+    space = cand.read_candidates(Path(args.candidates).read_text(), domain.schema)
     cfg = PlannerConfig(strategy=args.strategy, max_expansions=args.max_expansions,
                         rng_seed=args.seed)
-    sampled = sample_models(space, unitary, cfg, args.budget, rng_seed=args.seed,
+    sampled = sample_models(space, domain.unitary, cfg, args.budget, rng_seed=args.seed,
                             include_reference=args.include_reference,
-                            reference=reference)
+                            reference=domain.reference)
     Path(args.out).write_text(manifest_json(sampled, space))
     print(f"sampled {len(sampled)} viable models to {args.out}")
     return 0
@@ -168,13 +142,14 @@ def _train_config(args) -> TrainConfig:
         epochs=args.epochs,
         folds=args.folds,
         learning_rate=args.lr,
+        init_gain=args.init_gain,
         rng_seed=args.seed,
     )
 
 
 def _cmd_train(args) -> int:
-    schema, _, _, traces = _resolve_for_traces(args)
-    layout = build_layout(schema)
+    domain, traces = _domain_and_traces(args)
+    layout = build_layout(domain.schema)
     folds = train_folds(traces, layout, _train_config(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -188,9 +163,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    schema, _, _, traces = _resolve_for_traces(args)
-    layout = build_layout(schema)
-    sampled = manifest_load(Path(args.models).read_text(), schema)
+    domain, traces = _domain_and_traces(args)
+    layout = build_layout(domain.schema)
+    sampled = manifest_load(Path(args.models).read_text(), domain.schema)
     folds = train_folds(traces, layout, _train_config(args))
     scores, selected = score_models(folds, traces, sampled, layout)
     Path(args.out).write_text(scores_json(scores, selected))
@@ -280,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--folds", type=int, default=5)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--lr", type=float, default=1e-3)
+        p.add_argument("--init-gain", type=float, default=TrainConfig.init_gain)
         if name == "train":
             p.add_argument("--out-dir", required=True)
             p.set_defaults(func=_cmd_train)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Mapping
+from pathlib import Path
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -146,3 +147,42 @@ def fixed_sampler(objects: dict[str, str], init: State) -> Sampler:
         return dict(objects), init
 
     return sample
+
+
+@dataclass(frozen=True)
+class LoadedDomain:
+    """A domain ready for the pipeline phases. unitary and sampler are None
+    for an unregistered domain given no unitary problem; ranges are the
+    default object-count ranges of trace generation."""
+
+    schema: DomainSchema
+    reference: ActionModel
+    unitary: Optional[ProblemSpec]
+    sampler: Optional[Sampler]
+    ranges: dict[str, tuple[int, int]]
+
+
+def load_domain(name_or_path: str, unitary_path: str = "") -> LoadedDomain:
+    """A registered domain by name, or a domain file by path.
+
+    unitary_path, when given, is parsed as the unitary problem in place of
+    a registered one. An unregistered domain samples the unitary problem's
+    initial configuration; the callers that need a unitary problem or a
+    sampler report their absence.
+    """
+    if name_or_path in REGISTRY:
+        info = REGISTRY[name_or_path]
+        schema, reference, unitary = info.load()
+        sampler: Optional[Sampler] = info.sampler
+        ranges = dict(info.default_ranges)
+    else:
+        path = Path(name_or_path)
+        if not path.exists():
+            raise ValueError(f"domain {name_or_path!r} is neither registered nor a file")
+        schema, reference = parse_domain(path.read_text())
+        unitary, sampler, ranges = None, None, {}
+    if unitary_path:
+        unitary = parse_problem(Path(unitary_path).read_text(), schema)
+    if sampler is None and unitary is not None:
+        sampler = fixed_sampler(unitary.object_table(), unitary.init)
+    return LoadedDomain(schema, reference, unitary, sampler, ranges)

@@ -5,7 +5,24 @@ into fused weight matrices) feeds a softmax head through inverted dropout
 during training. Training is plain backpropagation through time over the
 real steps of each sequence (padding is never touched), one sequence per
 Adam update. Parameters, gradients and the Adam moments each sit in one
-contiguous float64 buffer, which the update rewrites in place.
+contiguous float64 buffer, which the update rewrites in place; train
+reuses one gradient buffer for every sequence.
+
+BPTT skips work whose result is known to be zero, and returns the same
+bytes as the full computation:
+
+* dW gets np.outer(x_t, dz) only in the rows where x_t != 0. A zero row
+  would add 0 * dz = +-0, and adding +-0 leaves any value unchanged: a
+  gradient buffer starts at +0, and a sum is -0 only when both terms are,
+  so the buffer never holds -0. This holds for any input, not only for
+  one-hot rows, as long as dz is finite. A non-finite dz also reaches db,
+  whose every entry is added, so the next forward pass still raises
+  NumericError.
+* At t = 0 the dU term is skipped (h_0 = 0, so it is +-0 as above), and
+  so are dc_next and U @ dz, which nothing reads after the first step.
+* The dU outer product comes from einsum: the same single rounded
+  product per element, except that a zero product may come out as +0
+  where np.outer gives -0, which the sum cannot tell apart.
 """
 
 from __future__ import annotations
@@ -143,13 +160,12 @@ def zero_like(params: LstmParameters) -> LstmParameters:
     return _flat_zeros([a.shape for a in params.arrays().values()])
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """1 / (1 + e) for z >= 0 and e / (1 + e) below, with e = exp(-|z|),
+    so exp never overflows; written into out when given. min(z, -z) is
+    -|z| except that it keeps a NaN's sign bit, so NaN maps to itself."""
+    e = np.exp(np.minimum(z, -z))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -184,7 +200,7 @@ def _run_forward(params: LstmParameters, seq: EncodedSequence,
     for t in range(steps):
         z = xs[t] @ params.W + hs[t] @ params.U + params.b
         gate = gates[t]
-        gate[:3 * h] = _sigmoid(z[:3 * h])
+        _sigmoid(z[:3 * h], out=gate[:3 * h])
         np.tanh(z[3 * h:], out=gate[3 * h:])
         i, f, o, g = gate[:h], gate[h:2 * h], gate[2 * h:3 * h], gate[3 * h:]
         c = f * cs[t] + i * g
@@ -223,18 +239,27 @@ def sequence_loss(probs: np.ndarray, seq: EncodedSequence) -> tuple[float, int]:
 
 
 def loss_and_gradients(
-    params: LstmParameters, seq: EncodedSequence, dropout_mask: Optional[np.ndarray] = None
+    params: LstmParameters, seq: EncodedSequence, dropout_mask: Optional[np.ndarray] = None,
+    out: Optional[LstmParameters] = None,
 ) -> tuple[float, int, LstmParameters]:
-    """Summed cross entropy, target-step count, and its exact gradient."""
+    """Summed cross entropy, target-step count, and its exact gradient.
+
+    out, when given, is a gradient buffer made by zero_like(params); it is
+    zero-filled, written and returned, so that one buffer can serve every
+    sequence of a training run. Without it the gradient is a fresh buffer.
+    """
     cache = _run_forward(params, seq, dropout_mask)
     h = params.hidden
     steps = seq.valid_steps
     target_steps = seq.target_steps
-    grads = zero_like(params)
+    if out is None:
+        grads = zero_like(params)
+    else:
+        grads = out
+        _flat(grads).fill(0.0)
     dW, dU, db, dw_out, db_out = grads.arrays().values()
-    # dz and the two weight-gradient outer products are rewritten each step.
+    # dz and the recurrent outer product are rewritten each step.
     dz = np.empty(4 * h)
-    outer_x = np.empty_like(dW)
     outer_h = np.empty_like(dU)
     dh_next = np.zeros(h)
     dc_next = np.zeros(h)
@@ -264,11 +289,14 @@ def loss_and_gradients(
         dz[:3 * h] *= 1.0 - sig
         np.multiply(dc, i, out=dz[3 * h:])
         dz[3 * h:] *= 1.0 - g * g
-        dc_next = dc * f
-        dW += np.outer(cache.xs[t], dz, out=outer_x)
-        dU += np.outer(cache.hs[t], dz, out=outer_h)
+        x = cache.xs[t]
+        rows = np.flatnonzero(x)
+        dW[rows] += np.outer(x[rows], dz)
         db += dz
-        dh_next = params.U @ dz
+        if t > 0:  # h_0 = 0, and nothing reads dc_next or dh_next after t = 0
+            dU += np.einsum("i,j->ij", cache.hs[t], dz, out=outer_h)
+            dc_next = dc * f
+            dh_next = params.U @ dz
     return loss, target_steps, grads
 
 
@@ -336,6 +364,7 @@ def train(
     init_rng = stream_rng(cfg.rng_seed, "init", *seed_key)
     params = init_parameters(d, cfg.hidden_units, n, init_rng, cfg.init_gain)
     state = AdamState.for_params(params)
+    grads = zero_like(params)
     rng = stream_rng(cfg.rng_seed, "train", *seed_key)
     history = []
     for epoch in range(cfg.epochs):
@@ -346,7 +375,7 @@ def train(
             seq = dataset[int(idx)]
             masks = make_dropout_masks(rng, seq.valid_steps, cfg.hidden_units,
                                        cfg.dropout_rate)
-            loss, steps, grads = loss_and_gradients(params, seq, masks)
+            loss, steps, _ = loss_and_gradients(params, seq, masks, out=grads)
             total_loss += loss
             total_steps += steps
             adam_step(params, grads, state, cfg)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import candidates as cand
-from . import domains as domain_registry
+from .domains import load_domain
 from .encoding import build_layout
 from .evaluate import (
     EvaluationReport,
@@ -34,7 +34,7 @@ from .mining import (
     rules_report_json,
     stability_scan,
 )
-from .pddl import parse_domain, parse_problem, serialize_traces
+from .pddl import serialize_traces
 from .pruning import manifest_json, prune_candidates, sample_models
 from .scoring import score_models, scores_json, train_folds
 from .tracegen import (
@@ -200,26 +200,6 @@ def shipped_config(domain: str) -> PipelineConfig:
     )
 
 
-def _load_domain(config: PipelineConfig):
-    """Resolve the domain by registry name or by file path."""
-    if config.domain in domain_registry.REGISTRY:
-        info = domain_registry.get_domain(config.domain)
-        schema, reference, unitary = info.load()
-        sampler = info.sampler
-        ranges = dict(info.default_ranges)
-    else:
-        path = Path(config.domain)
-        schema, reference = parse_domain(path.read_text())
-        if not config.unitary:
-            raise ValueError("unregistered domains need a 'unitary' problem path")
-        unitary = parse_problem(Path(config.unitary).read_text(), schema)
-        sampler = domain_registry.fixed_sampler(unitary.object_table(), unitary.init)
-        ranges = {}
-    for name, lo, hi in config.object_ranges:
-        ranges[name] = (lo, hi)
-    return schema, reference, unitary, sampler, ranges
-
-
 def run_pipeline(config: PipelineConfig, out_root: Path) -> PipelineRun:
     run_dir = Path(out_root) / f"{config.config_hash()}-s{config.seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -240,7 +220,12 @@ def run_pipeline(config: PipelineConfig, out_root: Path) -> PipelineRun:
             run.timings[name] = time.perf_counter() - start
 
     with phase("config"):
-        schema, reference, unitary, sampler, ranges = _load_domain(config)
+        domain = load_domain(config.domain, config.unitary)
+        if domain.unitary is None:
+            raise ValueError("unregistered domains need a 'unitary' problem path")
+        schema, reference, unitary = domain.schema, domain.reference, domain.unitary
+        ranges = dict(domain.ranges)
+        ranges.update((name, (lo, hi)) for name, lo, hi in config.object_ranges)
         schedule = config.schedule or doubling_schedule(config.trace_count)
         if max(schedule) > config.trace_count:
             raise ValueError("schedule exceeds trace_count")
@@ -258,7 +243,7 @@ def run_pipeline(config: PipelineConfig, out_root: Path) -> PipelineRun:
             max_expansions=config.max_expansions,
             rng_seed=config.seed,
         )
-        traces = generate_traces(gen_spec, reference, planner_cfg, sampler)
+        traces = generate_traces(gen_spec, reference, planner_cfg, domain.sampler)
         (run_dir / "traces.traces").write_text(serialize_traces(traces, schema.name))
 
     with phase("enumerate"):

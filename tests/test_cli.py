@@ -189,3 +189,64 @@ def test_pipeline_bad_config_exit_code(tmp_path):
     code = main(["pipeline", "--config", str(config), "--out-root",
                  str(tmp_path / "runs")])
     assert code == 1  # config phase failure
+
+
+def test_train_init_gain_writes_the_params_of_train_folds(tmp_path):
+    from pdeeplearn.domains import get_domain
+    from pdeeplearn.encoding import build_layout
+    from pdeeplearn.lstm import TrainConfig, save_params
+    from pdeeplearn.pddl import parse_traces
+    from pdeeplearn.scoring import train_folds
+
+    traces = tmp_path / "t.traces"
+    assert main(["generate", "--domain", "kiln", "--out", str(traces),
+                 "--count", "10", "--seed", "6"]) == 0
+    train = ["train", "--traces", str(traces), "--hidden", "8", "--epochs", "2",
+             "--dropout", "0", "--seed", "6"]
+    assert main(train + ["--init-gain", "3", "--out-dir", str(tmp_path / "gain3")]) == 0
+    assert main(train + ["--out-dir", str(tmp_path / "gain1")]) == 0
+    schema, _, _ = get_domain("kiln").load()
+    layout = build_layout(schema)
+    cfg = TrainConfig(hidden_units=8, dropout_rate=0.0, epochs=2, init_gain=3.0, rng_seed=6)
+    for fold in train_folds(parse_traces(traces.read_text(), schema), layout, cfg):
+        name = f"params-fold{fold.fold_index}.bin"
+        save_params(tmp_path / name, fold.params, layout_hash=layout.layout_hash(),
+                    extra={"fold": fold.fold_index, "seed": 6})
+        want = (tmp_path / name).read_bytes()
+        assert (tmp_path / "gain3" / name).read_bytes() == want
+        assert (tmp_path / "gain1" / name).read_bytes() != want
+
+
+def test_domain_files_load_by_path_and_need_a_unitary_problem(tmp_path, capsys):
+    from pdeeplearn.domains import get_domain
+
+    info = get_domain("kiln")
+    domain = tmp_path / "kiln.pddl"
+    domain.write_text(info.domain_text())
+    unitary = tmp_path / "unitary.pddl"
+    unitary.write_text(info.unitary_text())
+    traces = tmp_path / "t.traces"
+    cands = tmp_path / "c.sexp"
+    models = tmp_path / "models.json"
+
+    assert main(["generate", "--domain", str(tmp_path / "missing.pddl"),
+                 "--out", str(traces)]) == 1
+    assert "is neither registered nor a file" in capsys.readouterr().err
+    assert main(["generate", "--domain", str(domain), "--out", str(traces),
+                 "--count", "3"]) == 1
+    assert "unregistered domains need --unitary" in capsys.readouterr().err
+    assert main(["generate", "--domain", str(domain), "--unitary", str(unitary),
+                 "--out", str(traces), "--count", "3"]) == 0
+    assert traces.read_text().count("(trace") == 3
+    assert main(["enumerate", "--domain", str(domain), "--out", str(cands)]) == 0
+    sample = ["sample", "--candidates", str(cands), "--domain", str(domain),
+              "--budget", "2", "--include-reference", "--out", str(models)]
+    assert main(sample) == 1
+    assert "unregistered domains need --unitary" in capsys.readouterr().err
+    assert main(sample + ["--unitary", str(unitary)]) == 0
+
+    config = tmp_path / "run.cfg"
+    config.write_text(f"domain = {domain}\n")
+    assert main(["pipeline", "--config", str(config), "--out-root",
+                 str(tmp_path / "runs")]) == 1
+    assert "unregistered domains need a 'unitary' problem path" in capsys.readouterr().err

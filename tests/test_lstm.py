@@ -12,8 +12,12 @@ from pdeeplearn.lstm import (
     PARAM_ORDER,
     AdamState,
     LstmParameters,
+    NumericError,
     TrainConfig,
     TrainingDivergence,
+    _flat,
+    _run_forward,
+    _sigmoid,
     accuracy,
     adam_step,
     init_parameters,
@@ -286,3 +290,153 @@ def test_training_divergence_survives_pickling():
     assert type(again) is TrainingDivergence
     assert again.epoch == 3
     assert str(again) == str(error) == "training loss became non-finite at epoch 3"
+
+
+def _reference_loss_and_gradients(params, seq, masks):
+    """BPTT written out in full: every step adds np.outer(x_t, dz) to dW
+    and np.outer(h_{t-1}, dz) to dU, including t = 0 and the zero rows of
+    x_t. loss_and_gradients must return these bytes."""
+    cache = _run_forward(params, seq, masks)
+    h = params.hidden
+    grads = zero_like(params)
+    dW, dU, db, dw_out, db_out = grads.arrays().values()
+    dh_next = np.zeros(h)
+    dc_next = np.zeros(h)
+    loss = 0.0
+    for t in range(seq.valid_steps - 1, -1, -1):
+        dh = dh_next
+        if t < seq.target_steps:
+            y = seq.targets[t]
+            p = cache.probs[t]
+            loss += float(-np.log((p * y).sum()))
+            dlogits = p - y
+            dw_out += np.outer(cache.dropped[t], dlogits)
+            db_out += dlogits
+            dhd = params.w_out @ dlogits
+            dh += dhd * masks[t] if masks is not None else dhd
+        gate = cache.gates[t]
+        sig = gate[:3 * h]
+        i, f, o, g = gate[:h], gate[h:2 * h], gate[2 * h:3 * h], gate[3 * h:]
+        tc = cache.tanh_cs[t]
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        dz = np.empty(4 * h)
+        np.multiply(dc, g, out=dz[:h])
+        np.multiply(dc, cache.cs[t], out=dz[h:2 * h])
+        np.multiply(dh, tc, out=dz[2 * h:3 * h])
+        dz[:3 * h] *= sig
+        dz[:3 * h] *= 1.0 - sig
+        np.multiply(dc, i, out=dz[3 * h:])
+        dz[3 * h:] *= 1.0 - g * g
+        dc_next = dc * f
+        dW += np.outer(cache.xs[t], dz)
+        dU += np.outer(cache.hs[t], dz)
+        db += dz
+        dh_next = params.U @ dz
+    return loss, seq.target_steps, grads
+
+
+def _real_valued_sequence(rng, pad, d, n, valid):
+    # Signed values, exact zeros and negative zeros in the input rows.
+    inputs = rng.normal(size=(pad, d)) * (rng.random((pad, d)) < 0.6)
+    inputs[rng.random((pad, d)) < 0.15] = -0.0
+    targets = np.zeros((pad, n))
+    for t in range(valid - 1):
+        targets[t, int(rng.integers(n))] = 1.0
+    return EncodedSequence(inputs, targets, valid)
+
+
+def _assert_same_bytes(got, want):
+    for name in PARAM_ORDER:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("valid", [1, 2, 5])
+@pytest.mark.parametrize("inputs", ["binary", "real"])
+def test_bptt_matches_the_full_outer_product_oracle_bit_for_bit(inputs, valid, dropout):
+    rng = stream_rng(valid, "bptt-oracle", inputs, str(dropout))
+    d, h, n, pad = 7, 5, 3, 6
+    make = random_sequence if inputs == "binary" else _real_valued_sequence
+    seqs = [make(rng, pad, d, n, valid) for _ in range(3)]
+    params = init_parameters(d, h, n, rng, input_gain=3.0)
+    params.b[:] = rng.normal(size=params.b.shape)
+    # A reused buffer holding NaN and garbage must come back as the oracle.
+    out = zero_like(params)
+    _flat(out)[:] = rng.normal(size=_flat(out).size) * 1e6
+    _flat(out)[::3] = np.nan
+    for seq in seqs:
+        masks = make_dropout_masks(rng, valid, h, dropout)
+        want_loss, want_steps, want = _reference_loss_and_gradients(params, seq, masks)
+        loss, steps, fresh = loss_and_gradients(params, seq, masks)
+        assert (loss, steps) == (want_loss, want_steps)
+        _assert_same_bytes(fresh, want)
+        loss, steps, reused = loss_and_gradients(params, seq, masks, out=out)
+        assert reused is out
+        assert (loss, steps) == (want_loss, want_steps)
+        _assert_same_bytes(reused, want)
+
+
+def test_bptt_without_out_returns_a_fresh_unaliased_buffer():
+    rng = stream_rng(9, "bptt-fresh")
+    d, h, n = 6, 4, 3
+    seq = random_sequence(rng, 5, d, n, 4)
+    params = init_parameters(d, h, n, rng)
+    out = zero_like(params)
+    _, _, into_out = loss_and_gradients(params, seq, out=out)
+    _, _, first = loss_and_gradients(params, seq)
+    _, _, second = loss_and_gradients(params, seq)
+    buffers = [_flat(params), _flat(out), _flat(first), _flat(second)]
+    for a in range(len(buffers)):
+        for b in range(a + 1, len(buffers)):
+            assert not np.shares_memory(buffers[a], buffers[b])
+    _assert_same_bytes(first, into_out)
+    _assert_same_bytes(second, into_out)
+
+
+def _two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_the_two_branch_formula_bit_for_bit():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1.0, -1.0, 36.0, -36.0,
+             709.0, -709.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf,
+             np.nan, -np.nan]
+    rng = stream_rng(10, "sigmoid")
+    for scale in (1e-3, 1.0, 30.0, 800.0):
+        z = np.concatenate([edges, rng.normal(scale=scale, size=1001)])
+        want = _two_branch_sigmoid(z).tobytes()
+        assert _sigmoid(z).tobytes() == want
+        # Written into part of a larger row, as the forward pass does.
+        row = np.full(z.size + 2, 7.0)
+        assert _sigmoid(z, out=row[1:-1]) is not None
+        assert row[1:-1].tobytes() == want
+        assert row[0] == row[-1] == 7.0
+
+
+def test_non_finite_gradients_still_stop_the_next_forward_pass():
+    # A zeroed dropout mask keeps the logits finite while w_out @ dlogits
+    # overflows, so dh = inf * 0 = NaN and dz is NaN at every step. The
+    # skipped zero rows of dW then stay 0 where the full outer product
+    # wrote NaN, but db carries the NaN either way, so Adam puts NaN into b
+    # and the next forward raises NumericError on both paths.
+    rng = stream_rng(11, "non-finite")
+    d, h, n = 5, 2, 3
+    seq = random_sequence(rng, 4, d, n, 4)
+    masks = np.zeros((4, h))
+    cfg = TrainConfig()
+    for bptt in (_reference_loss_and_gradients, loss_and_gradients):
+        params = init_parameters(d, h, n, stream_rng(11, "non-finite", "init"))
+        params.w_out[:] = 1.5e308
+        params.w_out[:, 0] = -1.5e308
+        lstm_forward(params, seq, masks)  # finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, grads = bptt(params, seq, masks)
+        assert np.isnan(grads.b).all()
+        adam_step(params, grads, AdamState.for_params(params), cfg)
+        with pytest.raises(NumericError):
+            lstm_forward(params, seq)
