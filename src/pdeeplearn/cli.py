@@ -68,6 +68,7 @@ def _cmd_generate(args) -> int:
         object_count_ranges=domain.ranges,
         trace_targets=doubling_schedule(args.count),
         rng_seed=args.seed,
+        catalog_size=args.catalog,
     )
     cfg = PlannerConfig(strategy=args.strategy, max_expansions=args.max_expansions,
                         rng_seed=args.seed)
@@ -200,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--catalog", type=int, default=0, help="cycle through N distinct problems")
     p.add_argument("--strategy", default="breadth-first",
                    choices=("breadth-first", "greedy-by-goal-count"))
     p.add_argument("--max-expansions", type=int, default=100_000)

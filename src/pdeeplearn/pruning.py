@@ -10,7 +10,13 @@ For a frequent pair (first, second) a candidate pairing satisfies:
 
 An entry is retained when it participates in at least one satisfying
 pairing with some candidate of some paired partner; actions outside all
-frequent pairs keep their full candidate sets.
+frequent pairs keep their full candidate sets. Each constraint asks a
+set of the candidate to meet a set of the partner, and some partner
+meets X iff the union over all partners does. So a first-side candidate
+is kept iff it satisfies C1..C3 against the column-wise union of the
+second action's unpruned candidates, and a second-side one against that
+of the first: one pass over each side of a pair instead of all m x n
+pairings, which are walked only to list witnesses.
 """
 
 from __future__ import annotations
@@ -48,13 +54,20 @@ def _names(refs) -> frozenset[str]:
     return frozenset(r.predicate for r in refs)
 
 
-def _eval_constraints(
-    pre_first_kept: frozenset[str],
-    add_first: frozenset[str],
-    del_first: frozenset[str],
-    pre_second: frozenset[str],
-    add_second: frozenset[str],
-) -> frozenset[PairConstraint]:
+def _row(entry: ActionModelEntry) -> tuple[frozenset[str], ...]:
+    """Predicate names of (pre - del, add, del, pre): what C1..C3 read."""
+    return (_names(entry.pre - entry.delete), _names(entry.add), _names(entry.delete),
+            _names(entry.pre))
+
+
+def _union_row(rows: Sequence[tuple[frozenset[str], ...]]) -> tuple[frozenset[str], ...]:
+    return tuple(frozenset().union(*(row[k] for row in rows)) for k in range(4))
+
+
+def _eval_constraints(first: tuple[frozenset[str], ...],
+                      second: tuple[frozenset[str], ...]) -> frozenset[PairConstraint]:
+    pre_first_kept, add_first, del_first, _ = first
+    _, add_second, _, pre_second = second
     satisfied = set()
     if pre_first_kept & pre_second:
         satisfied.add(PairConstraint.SHARED_PRECONDITION)
@@ -74,13 +87,7 @@ def check_pair_constraints(
     lifted refs, i.e. on the shared predicate name; C1 requires the shared
     ref on the first side to survive that action's del list.
     """
-    return _eval_constraints(
-        _names(first.pre - first.delete),
-        _names(first.add),
-        _names(first.delete),
-        _names(second.pre),
-        _names(second.add),
-    )
+    return _eval_constraints(_row(first), _row(second))
 
 
 @dataclass(frozen=True)
@@ -124,39 +131,32 @@ def prune_candidates(
     pairs: Sequence[tuple[str, str]],
     collect_witnesses: bool = False,
 ) -> PruneResult:
-    """Filter each paired action's set; evaluate all |CAS_i| x |CAS_j|
-    candidate pairings per frequent pair.
+    """Keep the candidates that satisfy C1..C3 against the union of the
+    partner's unpruned set, exactly those with a satisfying partner (see
+    the module docstring). pair_evaluations is the number of pairings this
+    decides, the sum of |CAS_i| x |CAS_j|; only collect_witnesses walks them.
 
     Raises PruningEmptiedAction if any action would end up with an empty
     candidate set (the generating model's own entries always survive on
     traces that model produced, so an empty set signals a real defect).
     """
-    prepared: dict[str, list[tuple[frozenset[str], frozenset[str], frozenset[str], frozenset[str]]]] = {}
-    for cas in space.per_action:
-        prepared[cas.action] = [
-            (_names(e.pre - e.delete), _names(e.add), _names(e.delete), _names(e.pre))
-            for e in cas.candidates
-        ]
-
+    prepared = {cas.action: [_row(e) for e in cas.candidates] for cas in space.per_action}
     retained: dict[str, set[int]] = {}
     evaluations = 0
     witnesses: list[PairConstraintWitness] = []
     for first_action, second_action in pairs:
-        firsts = prepared[first_action]
-        seconds = prepared[second_action]
-        keep_first = retained.setdefault(first_action, set())
-        keep_second = retained.setdefault(second_action, set())
-        for i, (pre_kept, add_first, del_first, _) in enumerate(firsts):
-            for j, (_, add_second, _, pre_second) in enumerate(seconds):
-                evaluations += 1
-                satisfied = _eval_constraints(pre_kept, add_first, del_first,
-                                              pre_second, add_second)
-                if satisfied:
-                    keep_first.add(i)
-                    keep_second.add(j)
-                    if collect_witnesses:
-                        witnesses.append(PairConstraintWitness(
-                            (first_action, second_action), i, j, satisfied))
+        firsts, seconds = prepared[first_action], prepared[second_action]
+        evaluations += len(firsts) * len(seconds)
+        any_first, any_second = _union_row(firsts), _union_row(seconds)
+        retained.setdefault(first_action, set()).update(
+            i for i, first in enumerate(firsts) if _eval_constraints(first, any_second))
+        retained.setdefault(second_action, set()).update(
+            j for j, second in enumerate(seconds) if _eval_constraints(any_first, second))
+        if collect_witnesses:
+            witnesses.extend(
+                PairConstraintWitness((first_action, second_action), i, j, satisfied)
+                for i, first in enumerate(firsts) for j, second in enumerate(seconds)
+                if (satisfied := _eval_constraints(first, second)))
 
     reduced_sets = []
     initial_counts, final_counts = {}, {}

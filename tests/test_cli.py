@@ -18,6 +18,33 @@ def test_generate_writes_trace_file(tmp_path, capsys):
     assert text.count("(trace") == 6
 
 
+def test_generate_catalog_writes_the_traces_of_the_pipeline(tmp_path):
+    from dataclasses import replace
+
+    from pdeeplearn.domains import load_domain
+    from pdeeplearn.pddl import serialize_traces
+    from pdeeplearn.pipeline import shipped_config
+    from pdeeplearn.tracegen import (GenerationSpec, PlannerConfig, doubling_schedule,
+                                     generate_traces)
+
+    # More traces than the catalog holds, so the problem stream wraps.
+    config = replace(shipped_config("kiln"), trace_count=40)
+    assert (config.catalog, config.seed) == (31, 42)
+    domain = load_domain(config.domain)
+    spec = GenerationSpec(problem_count=config.trace_count, object_count_ranges=domain.ranges,
+                          trace_targets=doubling_schedule(config.trace_count),
+                          rng_seed=config.seed, catalog_size=config.catalog)
+    planner = PlannerConfig(strategy=config.strategy, max_expansions=config.max_expansions,
+                            rng_seed=config.seed)
+    want = serialize_traces(generate_traces(spec, domain.reference, planner, domain.sampler),
+                            domain.schema.name)
+    generate = ["generate", "--domain", "kiln", "--count", "40", "--seed", "42"]
+    assert main(generate + ["--catalog", "31", "--out", str(tmp_path / "c31")]) == 0
+    assert main(generate + ["--out", str(tmp_path / "c0")]) == 0
+    assert (tmp_path / "c31").read_bytes() == want.encode()
+    assert (tmp_path / "c0").read_bytes() != want.encode()
+
+
 def test_generate_unknown_domain_fails(tmp_path):
     code = main(["generate", "--domain", "nonesuch", "--out",
                  str(tmp_path / "x"), "--count", "1"])

@@ -1,16 +1,19 @@
 """Pair-constraint and sampling tests, including the worked C3 example
 and reference survival on every shipped domain."""
 
+import random
+
 import pytest
 
 from pdeeplearn import candidates as cand
 from pdeeplearn.core import make_entry
 from pdeeplearn.core import LiftedPredicateRef as Ref
-from pdeeplearn.domains import get_domain
+from pdeeplearn.domains import get_domain, load_domain
 from pdeeplearn.mining import SequenceDatabase, frequent_pairs, stability_scan
 from pdeeplearn.pruning import (
     NoViableModels,
     PairConstraint,
+    PruneStats,
     PruningEmptiedAction,
     check_pair_constraints,
     manifest_json,
@@ -18,7 +21,8 @@ from pdeeplearn.pruning import (
     prune_candidates,
     sample_models,
 )
-from pdeeplearn.tracegen import GenerationSpec, PlannerConfig, generate_traces
+from pdeeplearn.pipeline import shipped_config
+from pdeeplearn.tracegen import GenerationSpec, PlannerConfig, doubling_schedule, generate_traces
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +228,163 @@ def test_manifest_round_trip(gripper):
         assert loaded.model_id == original.model_id
         assert loaded.model.entries == original.model.entries
         assert loaded.is_reference == original.is_reference
+
+
+# -- the set rule against the m x n loop it replaced --------------------------
+
+
+def _oracle_prune(space, pairs):
+    """The nested retention loop: every |CAS_i| x |CAS_j| pairing of every
+    pair is tested, and both of its candidates are kept when it satisfies
+    C1, C2 or C3. Returns (space, stats) or raises PruningEmptiedAction."""
+    def names(refs):
+        return frozenset(r.predicate for r in refs)
+
+    rows = {cas.action: [(names(e.pre - e.delete), names(e.add), names(e.delete), names(e.pre))
+                         for e in cas.candidates]
+            for cas in space.per_action}
+    retained, evaluations = {}, 0
+    for first_action, second_action in pairs:
+        keep_first = retained.setdefault(first_action, set())
+        keep_second = retained.setdefault(second_action, set())
+        for i, (pre_kept, add_first, del_first, _) in enumerate(rows[first_action]):
+            for j, (_, add_second, _, pre_second) in enumerate(rows[second_action]):
+                evaluations += 1
+                if pre_kept & pre_second or add_first & pre_second or del_first & add_second:
+                    keep_first.add(i)
+                    keep_second.add(j)
+    reduced = []
+    for cas in space.per_action:
+        if cas.action in retained:
+            if not retained[cas.action]:
+                raise PruningEmptiedAction(cas.action)
+            cas = cand.CandidateActionSet(
+                cas.action, cas.refs, tuple(cas.candidates[i] for i in sorted(retained[cas.action])))
+        reduced.append(cas)
+    stats = PruneStats(evaluations, space.counts(), {c.action: len(c) for c in reduced})
+    return cand.CandidateModelSpace(space.schema, tuple(reduced)), stats
+
+
+def _set_rule_prune(space, pairs):
+    result = prune_candidates(space, pairs)
+    return result.space, result.stats
+
+
+def _outcome(prune, space, pairs):
+    """(space, stats) of one pruning, or the action it emptied."""
+    try:
+        return prune(space, pairs)
+    except PruningEmptiedAction as err:
+        return "emptied", err.action
+
+
+def _assert_matches_oracle(space, pairs):
+    """Same space, stats or emptied action as the oracle; True when kept."""
+    got = _outcome(_set_rule_prune, space, pairs)
+    assert got == _outcome(_oracle_prune, space, pairs)
+    return got[0] != "emptied"
+
+
+@pytest.fixture(scope="module")
+def shipped_spaces():
+    """Every shipped domain's full space, with and without strict_del."""
+    spaces = {}
+    for name in ("gripper", "kiln", "battery"):
+        schema = get_domain(name).load()[0]
+        for strict_del in (False, True):
+            spaces[name, strict_del] = cand.build_space(schema, strict_del)
+    return spaces
+
+
+def _random_subspace(rng, space):
+    sets = []
+    for cas in space.per_action:
+        size = rng.choice((0, 1, 2, 3, 8, 30, 80))
+        picked = rng.sample(cas.candidates, min(size, len(cas)))
+        sets.append(cand.CandidateActionSet(cas.action, cas.refs, tuple(picked)))
+    return cand.CandidateModelSpace(space.schema, tuple(sets))
+
+
+def _random_pairs(rng, actions):
+    pairs = [(rng.choice(actions), rng.choice(actions)) for _ in range(rng.randrange(5))]
+    if pairs and rng.random() < 0.5:
+        pairs.append(rng.choice(pairs))
+    if rng.random() < 0.5:
+        pairs.append((rng.choice(actions),) * 2)
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_set_rule_matches_the_pairwise_oracle_on_random_subspaces(shipped_spaces):
+    rng = random.Random(5)
+    kept, emptied = 0, 0
+    for (name, strict_del), space in sorted(shipped_spaces.items()):
+        actions = list(space.action_names())
+        for _ in range(40):
+            subspace = _random_subspace(rng, space)
+            if _assert_matches_oracle(subspace, _random_pairs(rng, actions)):
+                kept += 1
+            else:
+                emptied += 1
+    # Both outcomes were exercised: pruned spaces and the emptied-action error.
+    assert kept > 40 and emptied > 40
+
+
+def test_set_rule_matches_the_pairwise_oracle_on_full_spaces(shipped_spaces):
+    rng = random.Random(11)
+    for (name, strict_del), space in sorted(shipped_spaces.items()):
+        actions = list(space.action_names())
+        pairs = [(rng.choice(actions), rng.choice(actions)) for _ in range(2)]
+        pairs += [(actions[0], actions[0]), pairs[0]]
+        assert _assert_matches_oracle(space, pairs), (name, strict_del)
+
+
+def _pinned_space_and_pairs(name):
+    """The enumerated space and mined pairs of a shipped config, built as
+    run_pipeline builds them."""
+    config = shipped_config(name)
+    domain = load_domain(config.domain)
+    schedule = doubling_schedule(config.trace_count)
+    spec = GenerationSpec(config.trace_count, domain.ranges, schedule, config.seed,
+                          config.catalog)
+    planner = PlannerConfig(config.strategy, config.max_expansions, config.seed)
+    db = SequenceDatabase.from_traces(
+        generate_traces(spec, domain.reference, planner, domain.sampler))
+    stability = stability_scan([db.prefix(p) for p in schedule], config.min_support,
+                               config.min_confidence, config.stability_tolerance)
+    space = cand.build_space(domain.schema, config.strict_del, config.max_relevant)
+    return space, frequent_pairs(stability)
+
+
+@pytest.mark.parametrize("name", ["gripper", "kiln", "battery"])
+def test_set_rule_matches_the_pairwise_oracle_on_pinned_configs(name):
+    space, pairs = _pinned_space_and_pairs(name)
+    assert pairs
+    assert _assert_matches_oracle(space, pairs)
+
+
+def test_witness_indices_are_exactly_the_kept_indices(shipped_spaces):
+    rng = random.Random(23)
+    for (name, strict_del), space in sorted(shipped_spaces.items()):
+        actions = list(space.action_names())
+        for first, second in [(a, b) for a in actions for b in actions]:
+            subspace = _random_subspace(rng, space)
+            try:
+                result = prune_candidates(subspace, [(first, second)],
+                                          collect_witnesses=True)
+            except PruningEmptiedAction:
+                continue
+            kept = {a: set(map(subspace.for_action(a).candidates.index,
+                               result.space.for_action(a).candidates))
+                    for a in (first, second)}
+            firsts = {w.first_index for w in result.witnesses}
+            seconds = {w.second_index for w in result.witnesses}
+            if first == second:
+                assert firsts | seconds == kept[first]
+            else:
+                assert (firsts, seconds) == (kept[first], kept[second])
+            for w in result.witnesses:
+                assert w.pair == (first, second)
+                assert w.satisfied == check_pair_constraints(
+                    subspace.for_action(first).candidates[w.first_index],
+                    subspace.for_action(second).candidates[w.second_index])
