@@ -361,9 +361,8 @@ def apply(state: State, ga: GroundAction, model: ActionModel) -> State:
     Raises PreconditionViolation when the action is not applicable; the
     input state is never modified.
     """
-    entry = model.entry(ga.action)
-    _, add, dele = ground_entry(entry, ga.args)
-    if not is_applicable(state, ga, model):
+    pre, add, dele = ground_entry(model.entry(ga.action), ga.args)
+    if not pre <= state.atoms:
         raise PreconditionViolation(f"{ga.pretty()} is not applicable")
     return State((state.atoms - dele) | add)
 
@@ -371,9 +370,10 @@ def apply(state: State, ga: GroundAction, model: ActionModel) -> State:
 def first_mismatch(trace: PlanTrace, model: ActionModel) -> Optional[str]:
     """First point where the trace disagrees with the model, or None."""
     for i, (before, ga, after) in enumerate(trace.transitions()):
-        if not is_applicable(before, ga, model):
+        try:
+            successor = apply(before, ga, model)
+        except PreconditionViolation:
             return f"step {i}: {ga.pretty()} not applicable"
-        successor = apply(before, ga, model)
         if successor != after:
             extra = sorted(a.pretty() for a in after.atoms - successor.atoms)
             missing = sorted(a.pretty() for a in successor.atoms - after.atoms)

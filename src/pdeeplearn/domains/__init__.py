@@ -93,8 +93,6 @@ class DomainInfo:
     unitary_file: str
     sampler: Sampler
     default_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
-    # Stability tolerance tuned per domain; the library default stays 0.1.
-    mining_tolerance: float = 0.3
 
     def domain_text(self) -> str:
         return resources.files(__package__).joinpath(self.domain_file).read_text()

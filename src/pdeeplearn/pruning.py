@@ -190,7 +190,6 @@ class SampledModel:
     model: ActionModel
     candidate_indices: tuple[int, ...]
     is_reference: bool
-    solves_unitary: bool
 
 
 @dataclass(frozen=True)
@@ -295,7 +294,6 @@ def sample_models(
             model=model,
             candidate_indices=indices,
             is_reference=indices == reference_tuple,
-            solves_unitary=True,
         )
         for k, (indices, model) in enumerate(survivors)
     )
@@ -323,14 +321,13 @@ def manifest_load(text: str, schema) -> SampledModelSet:
             model=ActionModel(schema, tuple(entries)),
             candidate_indices=tuple(m["candidate_indices"]),
             is_reference=m["is_reference"],
-            solves_unitary=m["solves_unitary"],
         ))
     return SampledModelSet(tuple(models))
 
 
 def manifest_json(sampled: SampledModelSet, space: CandidateModelSpace) -> str:
     payload = {
-        "schema_version": 1,
+        "schema_version": 2,
         "domain": space.schema.name,
         "actions": list(space.action_names()),
         "models": [
@@ -338,7 +335,6 @@ def manifest_json(sampled: SampledModelSet, space: CandidateModelSpace) -> str:
                 "id": m.model_id,
                 "candidate_indices": list(m.candidate_indices),
                 "is_reference": m.is_reference,
-                "solves_unitary": m.solves_unitary,
                 "entries": {
                     e.action: {
                         "pre": [[r.predicate, list(r.binding)] for r in sorted(e.pre)],

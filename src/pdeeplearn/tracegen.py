@@ -2,15 +2,16 @@
 actions, random solvable problems, and state-action interleaved traces.
 
 Plans are found by breadth-first search (shortest) or greedy search on the
-number of unsatisfied goal atoms. Random problems come from a per-domain
-configuration sampler plus a seeded random walk that picks a reachable
-goal, so generation never stalls on unsolvable instances.
+number of unsatisfied goal atoms. Each search grounds the model once, into
+a compile_actions table, and then runs on frozensets of atoms. Random
+problems come from a per-domain configuration sampler plus a seeded random
+walk that picks a reachable goal, so generation never stalls on
+unsolvable instances.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Mapping, Optional, Sequence
@@ -25,7 +26,7 @@ from .core import (
     PlanTrace,
     State,
     apply,
-    is_applicable,
+    ground_entry,
 )
 from .domains import Sampler
 from .pddl import ProblemSpec
@@ -118,54 +119,54 @@ def ground_actions(schema: DomainSchema, objects: Mapping[str, str]) -> tuple[Gr
     return tuple(out)
 
 
-def _goal_satisfied(state: State, goal: frozenset[GroundAtom]) -> bool:
-    return goal <= state.atoms
+Atoms = frozenset[GroundAtom]
+CompiledAction = tuple[GroundAction, Atoms, Atoms, Atoms]
+
+
+def compile_actions(model: ActionModel, objects: Mapping[str, str]) -> tuple[CompiledAction, ...]:
+    """One (ground action, pre, add, del) row per ground action, in
+    ground_actions order, each grounded once.
+
+    Searches run over frozensets of atoms with this table: a row fires in
+    s iff pre <= s, and its successor is (s - del) | add, which is what
+    core.is_applicable and core.apply decide for the same action.
+    """
+    return tuple((ga, *ground_entry(model.entry(ga.action), ga.args))
+                 for ga in ground_actions(model.schema, objects))
 
 
 def plan(problem: ProblemSpec, model: ActionModel, cfg: PlannerConfig) -> PlanResult:
     """Search for an action sequence from init to a state containing goal."""
-    actions = ground_actions(model.schema, problem.object_table())
-    init = problem.init
-    if _goal_satisfied(init, problem.goal):
+    table = compile_actions(model, problem.object_table())
+    init, goal = problem.init.atoms, problem.goal
+    if goal <= init:
         return PlanResult((), 0, False)
 
+    # One best-first search: the heap pops by (priority, insertion count),
+    # so breadth-first, whose priority is constant, pops in FIFO order.
     greedy = cfg.strategy == "greedy-by-goal-count"
-    seen = {init.atoms}
+    counter = itertools.count()
+    frontier = [(len(goal - init) if greedy else 0, next(counter), init, ())]
+    seen = {init}
     expansions = 0
-    if greedy:
-        counter = itertools.count()
-        frontier: list = []
-        heappush(frontier, (len(problem.goal - init.atoms), next(counter), init, ()))
-    else:
-        queue: deque = deque([(init, ())])
-
-    while True:
-        if greedy:
-            if not frontier:
-                return PlanResult(None, expansions, False)
-            _, _, state, path = heappop(frontier)
-        else:
-            if not queue:
-                return PlanResult(None, expansions, False)
-            state, path = queue.popleft()
+    while frontier:
+        _, _, state, path = heappop(frontier)
         if expansions >= cfg.max_expansions:
             return PlanResult(None, expansions, True)
         expansions += 1
-        for ga in actions:
-            if not is_applicable(state, ga, model):
+        for ga, pre, add, dele in table:
+            if not pre <= state:
                 continue
-            successor = apply(state, ga, model)
-            if successor.atoms in seen:
+            successor = (state - dele) | add
+            if successor in seen:
                 continue
-            seen.add(successor.atoms)
+            seen.add(successor)
             new_path = path + (ga,)
-            if _goal_satisfied(successor, problem.goal):
+            if goal <= successor:
                 return PlanResult(new_path, expansions, False)
-            if greedy:
-                heappush(frontier, (len(problem.goal - successor.atoms), next(counter),
-                                    successor, new_path))
-            else:
-                queue.append((successor, new_path))
+            heappush(frontier, (len(goal - successor) if greedy else 0, next(counter),
+                                successor, new_path))
+    return PlanResult(None, expansions, False)
 
 
 def solves_unitary(model: ActionModel, problem: ProblemSpec, cfg: PlannerConfig) -> bool:
@@ -184,22 +185,22 @@ def replay(init: State, actions: Sequence[GroundAction], model: ActionModel,
     return PlanTrace(tuple(sorted(objects.items())), tuple(steps))
 
 
-def _random_walk(state: State, actions: Sequence[GroundAction], model: ActionModel,
-                 length: int, rng: np.random.Generator) -> State:
+def _random_walk(state: Atoms, table: Sequence[CompiledAction], length: int,
+                 rng: np.random.Generator) -> Atoms:
     """Self-avoiding walk: never revisit a state, so steps make progress
     instead of cycling (plain uniform walks mostly pace back and forth)."""
-    seen = {state.atoms}
+    seen = {state}
     for _ in range(length):
         successors = []
-        for ga in actions:
-            if is_applicable(state, ga, model):
-                successor = apply(state, ga, model)
-                if successor.atoms not in seen:
+        for _, pre, add, dele in table:
+            if pre <= state:
+                successor = (state - dele) | add
+                if successor not in seen:
                     successors.append(successor)
         if not successors:
             break
         state = successors[int(rng.integers(len(successors)))]
-        seen.add(state.atoms)
+        seen.add(state)
     return state
 
 
@@ -214,16 +215,13 @@ def sample_problem(index: int, spec: GenerationSpec, model: ActionModel, sampler
         index = index % spec.catalog_size
     rng = stream_rng(spec.rng_seed, "problem", index, attempt)
     objects, init = sampler(rng, spec.object_count_ranges)
-    actions = ground_actions(model.schema, objects)
     length = int(rng.integers(walk_range[0], walk_range[1] + 1))
-    final = _random_walk(init, actions, model, length, rng)
-    goal = frozenset(final.atoms)
     return ProblemSpec(
         name=f"generated-{index}",
         domain=model.schema.name,
         objects=tuple(sorted(objects.items())),
         init=init,
-        goal=goal,
+        goal=_random_walk(init.atoms, compile_actions(model, objects), length, rng),
     )
 
 

@@ -1,17 +1,22 @@
 """Planner and trace-generation tests: shortest plans, determinism,
 prefix property, unitary screening."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
-from pdeeplearn.core import GroundAtom, apply, is_applicable, make_entry, validate_trace
+from pdeeplearn import candidates as cand
+from pdeeplearn.core import ActionModel, GroundAtom, apply, is_applicable, make_entry, validate_trace
 from pdeeplearn.core import LiftedPredicateRef as Ref
-from pdeeplearn.domains import get_domain
+from pdeeplearn.domains import get_domain, load_domain
 from pdeeplearn.pddl import ProblemSpec, serialize_traces
+from pdeeplearn.pipeline import shipped_config
 from pdeeplearn.tracegen import (
     GenerationSpec,
     PlannerConfig,
+    compile_actions,
     doubling_schedule,
     generate_traces,
     ground_actions,
@@ -181,3 +186,81 @@ def test_planner_config_validation():
         PlannerConfig(strategy="depth-first")
     with pytest.raises(ValueError):
         PlannerConfig(max_expansions=0)
+
+
+@pytest.mark.parametrize("name", ["gripper", "kiln", "battery"])
+def test_compiled_table_matches_is_applicable_and_apply(name):
+    # The reference plus 20 random models from the full space, so that
+    # del-only and pre+del refs occur; every row must agree with the
+    # core oracle in every state of a few traces.
+    info = get_domain(name)
+    schema, reference, _ = info.load()
+    space = cand.build_space(schema)
+    rng = random.Random(11)
+    models = [reference] + [
+        ActionModel(schema, tuple(rng.choice(cas.candidates) for cas in space.per_action))
+        for _ in range(20)
+    ]
+    traces = generate_traces(_spec(info, 3, 4), reference, PlannerConfig(rng_seed=4),
+                             info.sampler)
+    fired = 0
+    for trace in traces:
+        objects = dict(trace.objects)
+        states = trace.steps[::2]
+        for model in models:
+            table = compile_actions(model, objects)
+            assert [row[0] for row in table] == list(ground_actions(schema, objects))
+            for state in states:
+                for ga, pre, add, dele in table:
+                    applicable = is_applicable(state, ga, model)
+                    assert (pre <= state.atoms) == applicable
+                    if applicable:
+                        fired += 1
+                        assert (state.atoms - dele) | add == apply(state, ga, model).atoms
+    assert fired > 0
+
+
+# sha256 of serialize_traces(generate_traces(...)) for each shipped config,
+# its seed shifted by 0 and 1000, under both strategies. Pinned before the
+# planner searched over the compiled table: any change in successor order
+# or heap tie-break changes them.
+GOLDEN_TRACE_DIGESTS = {
+    ("gripper", 0, "breadth-first"):
+        "c8e755bafca5fd1693832981b11f31b058dbf6ef07f38b6fc37983be67c6518f",
+    ("gripper", 0, "greedy-by-goal-count"):
+        "dcc6375155ef41dd8a12de1e1e4926e249a701a02cfe31bb6992849d153cabd7",
+    ("gripper", 1000, "breadth-first"):
+        "19352b6e297d5e4cd69e32b35c7aa90ba1f65bcd7536a8bff70ad9fdbf371e4a",
+    ("gripper", 1000, "greedy-by-goal-count"):
+        "bac3fc7ebdf96c2b3f5fe5c19a4cbcca043d3cc14e280966f3a0b4efe6100f90",
+    ("kiln", 0, "breadth-first"):
+        "b42366c15380bac5cc954b2ade95b7dc89f1b734de5d1b4759c60547e2aad0f6",
+    ("kiln", 0, "greedy-by-goal-count"):
+        "bf18c636103042e439d597d51e83242fed118259e7b5911fafc47d44bc14d84b",
+    ("kiln", 1000, "breadth-first"):
+        "6124bb265784f2ff61869393b521db9c259a5ddfdb6cdc1c7b015c333f75019f",
+    ("kiln", 1000, "greedy-by-goal-count"):
+        "a0ae700a3bad19399634b126dfef7aa2250228f802bbaf0dbad9a5c101b23883",
+    ("battery", 0, "breadth-first"):
+        "2fef17e3b1f95212b29c0b79be332cebb4817837061e9b2120f93ae366172246",
+    ("battery", 0, "greedy-by-goal-count"):
+        "2d3e877e46093f65749eb1b7f7ebce07bc0a6d38deee4c6f0c938da414475320",
+    ("battery", 1000, "breadth-first"):
+        "ece31391f96a1543d7562c98552b93bdfe68f5773e23966cca89f8ea82ddec3a",
+    ("battery", 1000, "greedy-by-goal-count"):
+        "4e046cec94e5bf9c03e073d109db42c6ccc14a4fd40c499a5df687ca724c92c9",
+}
+
+
+@pytest.mark.parametrize("name,shift,strategy", sorted(GOLDEN_TRACE_DIGESTS))
+def test_shipped_traces_match_golden_digests(name, shift, strategy):
+    config = shipped_config(name)
+    seed = config.seed + shift
+    domain = load_domain(config.domain)
+    spec = GenerationSpec(config.trace_count, domain.ranges,
+                          doubling_schedule(config.trace_count), seed, config.catalog)
+    traces = generate_traces(spec, domain.reference,
+                             PlannerConfig(strategy, config.max_expansions, seed), domain.sampler)
+    text = serialize_traces(traces, domain.schema.name)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_TRACE_DIGESTS[(name, shift, strategy)]

@@ -1,6 +1,7 @@
 """Pair-constraint and sampling tests, including the worked C3 example
 and reference survival on every shipped domain."""
 
+import json
 import random
 
 import pytest
@@ -228,6 +229,25 @@ def test_manifest_round_trip(gripper):
         assert loaded.model_id == original.model_id
         assert loaded.model.entries == original.model.entries
         assert loaded.is_reference == original.is_reference
+
+
+def test_manifest_loads_a_version_1_manifest(gripper):
+    # Version 1 manifests carried a "solves_unitary" flag that was always
+    # true; older run directories must still load.
+    _, schema, model, unitary = gripper
+    space = cand.build_space(schema)
+    sampled = sample_models(space, unitary, PlannerConfig(), budget=4, rng_seed=3,
+                            include_reference=True, reference=model)
+    payload = json.loads(manifest_json(sampled, space))
+    assert payload["schema_version"] == 2
+    assert all("solves_unitary" not in m for m in payload["models"])
+    payload["schema_version"] = 1
+    for m in payload["models"]:
+        m["solves_unitary"] = True
+    back = manifest_load(json.dumps(payload, indent=2, sort_keys=True), schema)
+    assert [m.model_id for m in back.models] == [m.model_id for m in sampled.models]
+    assert [m.model.entries for m in back.models] == [m.model.entries for m in sampled.models]
+    assert [m.is_reference for m in back.models] == [m.is_reference for m in sampled.models]
 
 
 # -- the set rule against the m x n loop it replaced --------------------------

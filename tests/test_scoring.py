@@ -79,7 +79,7 @@ def test_train_folds_shapes_and_determinism(kiln_setup):
 
 def test_singleton_model_set_selects_it(kiln_setup):
     schema, model, unitary, traces, layout, folds = kiln_setup
-    only = SampledModelSet((SampledModel("m0000", model, (0, 0, 0), True, True),))
+    only = SampledModelSet((SampledModel("m0000", model, (0, 0, 0), True),))
     scores, selected = score_models(folds, traces, only, layout)
     assert selected == "m0000"
     assert len(scores) == 1
