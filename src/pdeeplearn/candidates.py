@@ -21,7 +21,16 @@ from .core import (
     LiftedPredicateRef,
     PredicateSchema,
 )
-from .pddl import Group, ParseError, read_sexprs
+from .pddl import (
+    SExpr,
+    check_domain,
+    expect_atom,
+    fail,
+    read_form,
+    read_name,
+    read_term,
+    split_form,
+)
 
 
 class TooManyRelevantPredicates(ValueError):
@@ -198,41 +207,75 @@ def write_candidates(space: CandidateModelSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ref_from_group(group: Group) -> LiftedPredicateRef:
-    name = group.items[0].text  # type: ignore[union-attr]
-    return LiftedPredicateRef(name, tuple(int(a.text) for a in group.items[1:]))  # type: ignore[union-attr]
+def _read_ref(node: SExpr, schema: DomainSchema, positions: Mapping[str, tuple[int, str]],
+              allowed: Mapping[tuple, LiftedPredicateRef], where: str) -> LiftedPredicateRef:
+    """The ref in allowed that a (PREDICATE POSITION...) term names."""
+    term = read_term(node, schema.predicate_table, "predicate", positions, "position")
+    if term not in allowed:
+        raise fail(node, f"{LiftedPredicateRef(*term).pretty()} is not {where}")
+    return allowed[term]
 
 
 def read_candidates(text: str, schema: DomainSchema) -> CandidateModelSpace:
-    tops = read_sexprs(text)
-    if len(tops) != 1 or not isinstance(tops[0], Group) or not tops[0].items:
-        raise ParseError("expected a single (candidate-sets ...) block", 1, 1)
-    root = tops[0]
-    sets = []
-    for section in root.items[1:]:
-        if not isinstance(section, Group) or not section.items:
-            raise ParseError("malformed candidate-sets section", section.line, section.col)
-        head = section.items[0].text  # type: ignore[union-attr]
-        if head == ":domain":
-            continue
-        if head != ":action":
-            raise ParseError(f"unknown section {head!r}", section.line, section.col)
-        action = section.items[1].text  # type: ignore[union-attr]
-        refs: tuple[LiftedPredicateRef, ...] = ()
+    """Parse a candidate-set file written by write_candidates for schema.
+
+    The file must name the schema's domain and hold one section per
+    action. Each :relevant ref must be a relevant ref of its action, each
+    candidate ref must be listed in :relevant, each candidate has at most
+    one :pre, :add and :del list, and :count must equal the number of
+    candidates. Any violation raises a located ParseError.
+    """
+    root, sections = read_form(text, "candidate-sets", "candidate file")
+    if not sections:
+        raise fail(root, "missing (:domain NAME)")
+    check_domain(sections[0], schema, "candidate file")
+    sets: dict[str, CandidateActionSet] = {}
+    for section in sections[1:]:
+        head, parts = split_form(section, "an (:action ...) section")
+        if head != ":action" or len(parts) < 3:
+            raise fail(section, "expected (:action NAME (:relevant ...) (:count N) ...)")
+        name = expect_atom(parts[0], "action name").text
+        if name in sets:
+            raise fail(section, f"duplicate action: {name}")
+        sig = schema.action_table.get(name)
+        if sig is None:
+            raise fail(parts[0], f"unknown action: {name}")
+        positions = {str(i): (i, t) for i, t in enumerate(sig.param_types)}
+        relevant = {(r.predicate, r.binding): r for r in relevant_predicates(sig, schema.predicates)}
+        key, items = split_form(parts[1], "(:relevant ...)")
+        if key != ":relevant":
+            raise fail(parts[1], "expected (:relevant ...)")
+        listed: dict[tuple, LiftedPredicateRef] = {}
+        for node in items:
+            ref = _read_ref(node, schema, positions, relevant, f"relevant to {name}")
+            if (ref.predicate, ref.binding) in listed:
+                raise fail(node, f"repeated ref: {ref.pretty()}")
+            listed[ref.predicate, ref.binding] = ref
+        unlisted = f"in the :relevant list of {name}"
         entries = []
-        for part in section.items[2:]:
-            phead = part.items[0].text  # type: ignore[union-attr]
-            if phead == ":relevant":
-                refs = tuple(_ref_from_group(g) for g in part.items[1:])  # type: ignore[arg-type]
-            elif phead == ":count":
-                continue
-            elif phead == ":candidate":
-                lists: dict[str, list[LiftedPredicateRef]] = {":pre": [], ":add": [], ":del": []}
-                for sub in part.items[1:]:  # type: ignore[union-attr]
-                    key = sub.items[0].text
-                    lists[key] = [_ref_from_group(g) for g in sub.items[1:]]
-                entries.append(ActionModelEntry(
-                    action, frozenset(lists[":pre"]), frozenset(lists[":add"]),
-                    frozenset(lists[":del"])))
-        sets.append(CandidateActionSet(action, refs, tuple(entries)))
-    return CandidateModelSpace(schema, tuple(sets))
+        for part in parts[3:]:
+            key, items = split_form(part, "(:candidate ...)")
+            if key != ":candidate":
+                raise fail(part, "expected (:candidate (:pre ...) (:add ...) (:del ...))")
+            lists: dict[str, frozenset[LiftedPredicateRef]] = {}
+            for node in items:
+                key, refs = split_form(node, "a (:pre ...), (:add ...) or (:del ...) list")
+                if key not in (":pre", ":add", ":del"):
+                    raise fail(node, f"unknown candidate list: {key}")
+                if key in lists:
+                    raise fail(node, f"repeated candidate list: {key}")
+                lists[key] = frozenset(_read_ref(r, schema, positions, listed, unlisted)
+                                       for r in refs)
+            try:
+                entries.append(ActionModelEntry(name, *(lists.get(k, frozenset())
+                                                       for k in (":pre", ":add", ":del"))))
+            except ValueError as exc:
+                raise fail(part, str(exc)) from None
+        count = read_name(parts[2], ":count", "count")
+        if count != str(len(entries)):
+            raise fail(parts[2], f"(:count {count}) but {name} has {len(entries)} candidates")
+        sets[name] = CandidateActionSet(name, tuple(listed.values()), tuple(entries))
+    try:
+        return CandidateModelSpace(schema, tuple(sets.values()))
+    except ValueError as exc:
+        raise fail(root, str(exc)) from None

@@ -23,7 +23,7 @@ from .mining import (
     rules_report_json,
     stability_scan,
 )
-from .pddl import parse_traces, serialize_traces
+from .pddl import parse_traces, serialize_traces, trace_domain
 from .pipeline import PhaseError, parse_config, run_pipeline
 from .pruning import manifest_json, manifest_load, prune_candidates, sample_models
 from .scoring import score_models, scores_json, train_folds
@@ -39,24 +39,12 @@ class CliError(RuntimeError):
     """A usage problem reported as a one-line error with exit code 1."""
 
 
-def _domain_of_traces(path: Path) -> str:
-    from .pddl import Atom, Group, read_sexprs
-
-    for top in read_sexprs(path.read_text()):
-        if isinstance(top, Group):
-            for item in top.items:
-                if (isinstance(item, Group) and item.items
-                        and isinstance(item.items[0], Atom)
-                        and item.items[0].text == ":domain"):
-                    return item.items[1].text  # type: ignore[union-attr]
-    raise CliError(f"{path} has no (:domain ...) header")
-
-
 def _domain_and_traces(args) -> tuple[LoadedDomain, list]:
     """The domain named by --domain or else by the trace file header, and
     the traces parsed against it."""
-    domain = load_domain(args.domain or _domain_of_traces(Path(args.traces)))
-    return domain, parse_traces(Path(args.traces).read_text(), domain.schema)
+    text = Path(args.traces).read_text()
+    domain = load_domain(args.domain or trace_domain(text))
+    return domain, parse_traces(text, domain.schema)
 
 
 def _cmd_generate(args) -> int:

@@ -63,18 +63,18 @@ class ActionSignature:
 class DomainSchema:
     """Type, predicate, and action declarations for one planning domain.
 
-    Predicates and actions are stored sorted by name; lookups go through
-    the cached name indexes.
+    Predicates and actions are stored sorted by name; predicate_table and
+    action_table map each name to its declaration.
     """
 
     name: str
     types: frozenset[str]
     predicates: tuple[PredicateSchema, ...]
     actions: tuple[ActionSignature, ...]
-    _pred_index: Mapping[str, PredicateSchema] = field(
+    predicate_table: Mapping[str, PredicateSchema] = field(
         init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
     )
-    _action_index: Mapping[str, ActionSignature] = field(
+    action_table: Mapping[str, ActionSignature] = field(
         init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
     )
 
@@ -102,23 +102,20 @@ class DomainSchema:
                 if t not in self.types:
                     raise ValueError(f"action {a.name} uses undeclared type {t}")
             action_index[a.name] = a
-        object.__setattr__(self, "_pred_index", pred_index)
-        object.__setattr__(self, "_action_index", action_index)
+        object.__setattr__(self, "predicate_table", pred_index)
+        object.__setattr__(self, "action_table", action_index)
 
     def predicate(self, name: str) -> PredicateSchema:
         try:
-            return self._pred_index[name]
+            return self.predicate_table[name]
         except KeyError:
             raise SchemaMismatchError(f"unknown predicate: {name}") from None
 
     def action(self, name: str) -> ActionSignature:
         try:
-            return self._action_index[name]
+            return self.action_table[name]
         except KeyError:
             raise SchemaMismatchError(f"unknown action: {name}") from None
-
-    def has_action(self, name: str) -> bool:
-        return name in self._action_index
 
 
 @dataclass(frozen=True, order=True)
@@ -290,17 +287,12 @@ class PlanTrace:
 
     objects: tuple[tuple[str, str], ...]
     steps: tuple[Step, ...]
-    _object_index: Mapping[str, str] = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.objects))
         object.__setattr__(self, "objects", ordered)
-        index = dict(ordered)
-        if len(index) != len(ordered):
+        if len(dict(ordered)) != len(ordered):
             raise ValueError("duplicate object names in trace")
-        object.__setattr__(self, "_object_index", index)
         if len(self.steps) < 3 or len(self.steps) % 2 == 0:
             raise ValueError("trace must alternate s0, a1, ..., an, g with >= 1 action")
         for i, step in enumerate(self.steps):
@@ -309,12 +301,6 @@ class PlanTrace:
                 raise ValueError(f"trace step {i} must be a state")
             if not want_state and not isinstance(step, GroundAction):
                 raise ValueError(f"trace step {i} must be an action")
-
-    def object_type(self, name: str) -> str:
-        try:
-            return self._object_index[name]
-        except KeyError:
-            raise SchemaMismatchError(f"unknown object: {name}") from None
 
     @property
     def initial_state(self) -> State:

@@ -6,14 +6,21 @@ the domain and typed objects, an (:init ...) state, alternating
 (action (...)) / (state ...) blocks, and a final (:goal ...) block that
 records the full state reached by the last action.
 
+Every (NAME arg...) term in every format goes through read_term, which
+checks NAME against a predicate or action table and each argument against
+an argument table that gives its value and type. The other readers
+(candidates.read_candidates too) share the checked helpers below, so every
+malformed input raises a located ParseError.
+
 Serializers emit a canonical form (alphabetical orderings everywhere), so
 parse followed by serialize is the identity on canonical text.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .core import (
     ActionModel,
@@ -39,15 +46,13 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     text: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     items: tuple[Union["Group", Atom], ...]
     line: int
     col: int
@@ -55,93 +60,152 @@ class Group:
 
 SExpr = Union[Group, Atom]
 
-
-def _tokenize(text: str):
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield ch, line, col
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            yield text[start:i], line, start_col
-    yield None, line, col
+# One match per token: a paren, a newline, a comment or a word. The
+# spaces, tabs and carriage returns between tokens are never matched.
+_TOKEN = re.compile(r"[()\n]|;[^\n]*|[^ \t\r\n();]+")
 
 
 def read_sexprs(text: str) -> list[SExpr]:
     """Read all top-level s-expressions, raising located ParseErrors."""
     stack: list[tuple[list[SExpr], int, int]] = []
-    top: list[SExpr] = []
-    for tok, line, col in _tokenize(text):
-        if tok is None:
-            if stack:
-                raise ParseError("unclosed '('", stack[-1][1], stack[-1][2])
-            return top
-        if tok == "(":
-            stack.append(([], line, col))
+    items: list[SExpr] = []
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        tok = match.group()
+        col = match.start() - line_start + 1
+        if tok == "\n":
+            line += 1
+            line_start = match.end()
+        elif tok == "(":
+            stack.append((items, line, col))
+            items = []
         elif tok == ")":
             if not stack:
                 raise ParseError("unmatched ')'", line, col)
-            items, gline, gcol = stack.pop()
-            group = Group(tuple(items), gline, gcol)
-            (stack[-1][0] if stack else top).append(group)
-        else:
-            (stack[-1][0] if stack else top).append(Atom(tok.lower(), line, col))
-    return top
+            outer, gline, gcol = stack.pop()
+            outer.append(Group(tuple(items), gline, gcol))
+            items = outer
+        elif tok[0] != ";":
+            items.append(Atom(tok.lower(), line, col))
+    if stack:
+        raise ParseError("unclosed '('", stack[-1][1], stack[-1][2])
+    return items
 
 
-def _fail(node: SExpr, message: str) -> "ParseError":
+# -- checked readers, shared by every format ----------------------------------
+
+
+def fail(node: SExpr, message: str) -> ParseError:
     return ParseError(message, node.line, node.col)
+
+
+def expect_atom(node: SExpr, what: str) -> Atom:
+    if not isinstance(node, Atom):
+        raise fail(node, f"expected {what}")
+    return node
 
 
 def _expect_group(node: SExpr, what: str) -> Group:
     if not isinstance(node, Group):
-        raise _fail(node, f"expected {what}, got {node.text!r}")  # type: ignore[union-attr]
+        raise fail(node, f"expected {what}, got {node.text!r}")
     return node
 
 
-def _expect_atom(node: SExpr, what: str) -> Atom:
-    if not isinstance(node, Atom):
-        raise _fail(node, f"expected {what}")
-    return node
-
-
-def _head(group: Group) -> str:
+def split_form(node: SExpr, what: str) -> tuple[str, tuple[SExpr, ...]]:
+    """The head word and the other items of a (HEAD item...) form."""
+    group = _expect_group(node, what)
     if not group.items or not isinstance(group.items[0], Atom):
-        return ""
-    return group.items[0].text
+        raise fail(group, f"expected {what}")
+    return group.items[0].text, group.items[1:]
 
 
-def _parse_typed_names(items: tuple[SExpr, ...], owner: Group, what: str) -> list[tuple[str, str]]:
+def read_form(text: str, head: str, what: str) -> tuple[SExpr, tuple[SExpr, ...]]:
+    """The single top-level (HEAD item...) form of a file, and its items."""
+    tops = read_sexprs(text)
+    if not tops:
+        raise ParseError(f"empty {what}", 1, 1)
+    if len(tops) > 1:
+        raise fail(tops[1], f"{what} must contain a single ({head} ...) form")
+    key, items = split_form(tops[0], f"({head} ...)")
+    if key != head:
+        raise fail(tops[0], f"expected ({head} ...)")
+    return tops[0], items
+
+
+def read_name(node: SExpr, head: str, what: str) -> str:
+    """NAME from a (HEAD NAME) form."""
+    key, items = split_form(node, f"({head} NAME)")
+    if key != head or len(items) != 1:
+        raise fail(node, f"expected ({head} NAME)")
+    return expect_atom(items[0], f"{what} name").text
+
+
+def check_domain(node: SExpr, schema: DomainSchema, what: str) -> None:
+    """Reject a (:domain NAME) form that names another domain."""
+    name = read_name(node, ":domain", "domain")
+    if name != schema.name:
+        raise fail(node, f"{what} is for domain {name}, schema is {schema.name}")
+
+
+def _define(text: str, kind: str) -> tuple[SExpr, str, tuple[SExpr, ...]]:
+    """The form, NAME and sections of a (define (KIND NAME) section...) file."""
+    define, items = read_form(text, "define", f"{kind} file")
+    if not items:
+        raise fail(define, f"missing ({kind} NAME)")
+    return define, read_name(items[0], kind, kind), items[1:]
+
+
+def read_term(
+    node: SExpr,
+    table: Mapping[str, Union[PredicateSchema, ActionSignature]],
+    kind: str,
+    args: Mapping[str, tuple],
+    arg_kind: str,
+) -> tuple[str, tuple]:
+    """NAME and argument values of a (NAME arg...) term, checked.
+
+    table maps each known NAME to its predicate or action. args maps each
+    known argument token to its (value, type): in a domain a ?variable to
+    its parameter position, in problems and traces an object to itself, in
+    candidate files a position number to that position. The arity and
+    every argument's type must match NAME's parameters.
+    """
+    items = node.items if isinstance(node, Group) else ()
+    if not items or not isinstance(items[0], Atom):
+        raise fail(node, f"expected a ({kind} ...) term")
+    name = items[0].text
+    sig = table.get(name)
+    if sig is None:
+        raise fail(items[0], f"unknown {kind}: {name}")
+    if len(items) - 1 != len(sig.param_types):
+        raise fail(node, f"{kind} {name} expects {len(sig.param_types)} arguments, "
+                         f"got {len(items) - 1}")
+    values = []
+    for arg, need in zip(items[1:], sig.param_types):
+        token = expect_atom(arg, f"{arg_kind} name").text
+        try:
+            value, have = args[token]
+        except KeyError:
+            raise fail(arg, f"unknown {arg_kind}: {token}") from None
+        if have != need:
+            raise fail(arg, f"{arg_kind} {token} has type {have}, {kind} {name} needs {need}")
+        values.append(value)
+    return name, tuple(values)
+
+
+def _parse_typed_names(items: tuple[SExpr, ...], owner: SExpr, what: str) -> list[tuple[str, str]]:
     """Parse 'a b - t c - u' name/type runs into (name, type) pairs."""
     out: list[tuple[str, str]] = []
     pending: list[Atom] = []
     i = 0
     while i < len(items):
-        atom = _expect_atom(items[i], f"{what} name")
+        atom = expect_atom(items[i], f"{what} name")
         if atom.text == "-":
             if not pending:
-                raise _fail(atom, f"dangling '-' in {what} list")
+                raise fail(atom, f"dangling '-' in {what} list")
             if i + 1 >= len(items):
-                raise _fail(atom, f"missing type after '-' in {what} list")
-            type_atom = _expect_atom(items[i + 1], "type name")
+                raise fail(atom, f"missing type after '-' in {what} list")
+            type_atom = expect_atom(items[i + 1], "type name")
             out.extend((p.text, type_atom.text) for p in pending)
             pending = []
             i += 2
@@ -149,92 +213,69 @@ def _parse_typed_names(items: tuple[SExpr, ...], owner: Group, what: str) -> lis
             pending.append(atom)
             i += 1
     if pending:
-        raise _fail(owner, f"{what} list ends without a '- type' annotation")
+        raise fail(owner, f"{what} list ends without a '- type' annotation")
     return out
 
 
-def _parse_lifted_atom(
-    group: Group, params: dict[str, tuple[int, str]], schema_preds: dict[str, PredicateSchema]
-) -> LiftedPredicateRef:
+def _read_objects(section: SExpr, items: tuple[SExpr, ...], schema: DomainSchema,
+                  objects: dict[str, tuple[str, str]]) -> None:
+    """Add an (:objects ...) section to the argument table objects."""
+    for name, otype in _parse_typed_names(items, section, "object"):
+        if otype not in schema.types:
+            raise fail(section, f"object {name} has undeclared type {otype}")
+        if name in objects:
+            raise fail(section, f"duplicate object: {name}")
+        objects[name] = (name, otype)
+
+
+def _conjuncts(node: SExpr, what: str) -> tuple[SExpr, ...]:
+    """Unwrap (and a b c) / (a ...) / () into its atoms."""
+    group = _expect_group(node, what)
     if not group.items:
-        raise _fail(group, "empty predicate application")
-    name = _expect_atom(group.items[0], "predicate name").text
-    if name not in schema_preds:
-        raise _fail(group.items[0], f"unknown predicate: {name}")
-    pred = schema_preds[name]
-    args = group.items[1:]
-    if len(args) != pred.arity:
-        raise _fail(group, f"predicate {name} expects {pred.arity} arguments, got {len(args)}")
-    binding = []
-    for slot, arg in enumerate(args):
-        atom = _expect_atom(arg, "variable")
-        if not atom.text.startswith("?"):
-            raise _fail(atom, f"expected a ?variable, got {atom.text!r}")
-        if atom.text not in params:
-            raise _fail(atom, f"variable {atom.text} is not an action parameter")
-        pos, ptype = params[atom.text]
-        if ptype != pred.param_types[slot]:
-            raise _fail(atom, f"{atom.text} has type {ptype}, predicate {name} needs "
-                              f"{pred.param_types[slot]} at slot {slot}")
-        binding.append(pos)
-    return LiftedPredicateRef(name, tuple(binding))
+        return ()
+    if isinstance(group.items[0], Atom) and group.items[0].text == "and":
+        return group.items[1:]
+    return (group,)
+
+
+# -- domains ----------------------------------------------------------------
 
 
 def parse_domain(text: str) -> tuple[DomainSchema, ActionModel]:
     """Parse a domain file into its schema and its reference action model."""
-    tops = read_sexprs(text)
-    if not tops:
-        raise ParseError("empty domain file", 1, 1)
-    if len(tops) > 1:
-        raise _fail(tops[1], "domain file must contain a single (define ...) form")
-    define = _expect_group(tops[0], "(define ...)")
-    if _head(define) != "define":
-        raise _fail(define, "expected (define (domain ...) ...)")
-
-    domain_name: Optional[str] = None
+    define, domain_name, sections = _define(text, "domain")
     types: list[str] = []
     predicates: dict[str, PredicateSchema] = {}
     signatures: list[ActionSignature] = []
     entries: list[ActionModelEntry] = []
-
-    sections = define.items[1:]
-    if not sections:
-        raise _fail(define, "missing (domain NAME)")
-    name_group = _expect_group(sections[0], "(domain NAME)")
-    if _head(name_group) != "domain" or len(name_group.items) != 2:
-        raise _fail(name_group, "expected (domain NAME)")
-    domain_name = _expect_atom(name_group.items[1], "domain name").text
-
-    for section in sections[1:]:
-        group = _expect_group(section, "a domain section")
-        head = _head(group)
+    for section in sections:
+        head, items = split_form(section, "a domain section")
         if head == ":requirements":
-            for req in group.items[1:]:
-                atom = _expect_atom(req, "requirement")
+            for req in items:
+                atom = expect_atom(req, "requirement")
                 if atom.text not in (":strips", ":typing"):
-                    raise _fail(atom, f"unsupported requirement: {atom.text}")
+                    raise fail(atom, f"unsupported requirement: {atom.text}")
         elif head == ":types":
-            for item in group.items[1:]:
-                types.append(_expect_atom(item, "type name").text)
+            types.extend(expect_atom(item, "type name").text for item in items)
         elif head == ":predicates":
-            for item in group.items[1:]:
-                pgroup = _expect_group(item, "a predicate declaration")
-                if not pgroup.items:
-                    raise _fail(pgroup, "empty predicate declaration")
-                pname = _expect_atom(pgroup.items[0], "predicate name").text
+            for item in items:
+                pname, declared = split_form(item, "a predicate declaration")
                 if pname in predicates:
-                    raise _fail(pgroup, f"duplicate predicate: {pname}")
-                typed = _parse_typed_names(pgroup.items[1:], pgroup, "parameter")
+                    raise fail(item, f"duplicate predicate: {pname}")
+                typed = _parse_typed_names(declared, item, "parameter")
                 for var, _ in typed:
                     if not var.startswith("?"):
-                        raise _fail(pgroup, f"predicate parameter {var!r} must be a ?variable")
-                predicates[pname] = PredicateSchema(pname, tuple(t for _, t in typed))
+                        raise fail(item, f"predicate parameter {var!r} must be a ?variable")
+                try:
+                    predicates[pname] = PredicateSchema(pname, tuple(t for _, t in typed))
+                except ValueError as exc:
+                    raise fail(item, str(exc)) from None
         elif head == ":action":
-            sig, entry = _parse_action(group, predicates)
+            sig, entry = _parse_action(section, items, predicates)
             signatures.append(sig)
             entries.append(entry)
         else:
-            raise _fail(group, f"unknown domain section: {head!r}")
+            raise fail(section, f"unknown domain section: {head!r}")
 
     try:
         schema = DomainSchema(
@@ -244,74 +285,62 @@ def parse_domain(text: str) -> tuple[DomainSchema, ActionModel]:
             actions=tuple(signatures),
         )
         model = ActionModel(schema, tuple(entries))
-    except ParseError:
-        raise
     except ValueError as exc:
-        raise ParseError(str(exc), define.line, define.col) from exc
+        raise fail(define, str(exc)) from exc
     return schema, model
 
 
 def _parse_action(
-    group: Group, predicates: dict[str, PredicateSchema]
+    section: SExpr, items: tuple[SExpr, ...], predicates: dict[str, PredicateSchema]
 ) -> tuple[ActionSignature, ActionModelEntry]:
-    items = group.items
-    if len(items) < 2:
-        raise _fail(group, "action without a name")
-    name = _expect_atom(items[1], "action name").text
+    if not items:
+        raise fail(section, "action without a name")
+    name = expect_atom(items[0], "action name").text
     params: dict[str, tuple[int, str]] = {}
-    param_types: list[str] = []
     pre: list[LiftedPredicateRef] = []
     add: list[LiftedPredicateRef] = []
     dele: list[LiftedPredicateRef] = []
-    i = 2
+
+    def ref(node: SExpr) -> LiftedPredicateRef:
+        return LiftedPredicateRef(*read_term(node, predicates, "predicate", params, "parameter"))
+
     seen_params = False
-    while i < len(items):
-        key = _expect_atom(items[i], "an :action keyword")
+    for i in range(1, len(items), 2):
+        key = expect_atom(items[i], "an :action keyword")
         if i + 1 >= len(items):
-            raise _fail(key, f"missing value after {key.text}")
-        value = _expect_group(items[i + 1], f"value of {key.text}")
+            raise fail(key, f"missing value after {key.text}")
+        value = items[i + 1]
         if key.text == ":parameters":
+            if seen_params:
+                raise fail(key, f"action {name} repeats :parameters")
             seen_params = True
-            typed = _parse_typed_names(value.items, value, "parameter")
-            for pos, (var, ptype) in enumerate(typed):
+            group = _expect_group(value, "value of :parameters")
+            for pos, (var, ptype) in enumerate(_parse_typed_names(group.items, value, "parameter")):
                 if not var.startswith("?"):
-                    raise _fail(value, f"action parameter {var!r} must be a ?variable")
+                    raise fail(value, f"action parameter {var!r} must be a ?variable")
                 if var in params:
-                    raise _fail(value, f"duplicate parameter {var}")
+                    raise fail(value, f"duplicate parameter {var}")
                 params[var] = (pos, ptype)
-                param_types.append(ptype)
         elif key.text == ":precondition":
-            for g in _conjuncts(value):
-                pre.append(_parse_lifted_atom(g, params, predicates))
+            pre.extend(ref(g) for g in _conjuncts(value, "value of :precondition"))
         elif key.text == ":effect":
-            for g in _conjuncts(value):
-                if _head(g) == "not":
-                    if len(g.items) != 2:
-                        raise _fail(g, "(not ...) takes exactly one atom")
-                    inner = _expect_group(g.items[1], "a negated atom")
-                    dele.append(_parse_lifted_atom(inner, params, predicates))
+            for g in _conjuncts(value, "value of :effect"):
+                head, negated = split_form(g, "an effect atom")
+                if head != "not":
+                    add.append(ref(g))
+                elif len(negated) != 1:
+                    raise fail(g, "(not ...) takes exactly one atom")
                 else:
-                    add.append(_parse_lifted_atom(g, params, predicates))
+                    dele.append(ref(negated[0]))
         else:
-            raise _fail(key, f"unknown action keyword: {key.text}")
-        i += 2
+            raise fail(key, f"unknown action keyword: {key.text}")
     if not seen_params:
-        raise _fail(group, f"action {name} is missing :parameters")
-    sig = ActionSignature(name, tuple(param_types))
+        raise fail(section, f"action {name} is missing :parameters")
     try:
-        entry = ActionModelEntry(name, frozenset(pre), frozenset(add), frozenset(dele))
+        sig = ActionSignature(name, tuple(t for _, t in params.values()))
+        return sig, ActionModelEntry(name, frozenset(pre), frozenset(add), frozenset(dele))
     except ValueError as exc:
-        raise _fail(group, str(exc))
-    return sig, entry
-
-
-def _conjuncts(group: Group) -> list[Group]:
-    """Unwrap (and a b c) / (a ...) / () into a list of atom groups."""
-    if _head(group) == "and":
-        return [_expect_group(g, "an atom") for g in group.items[1:]]
-    if not group.items:
-        return []
-    return [group]
+        raise fail(section, str(exc)) from None
 
 
 # -- problems ---------------------------------------------------------------
@@ -331,87 +360,37 @@ class ProblemSpec:
         return dict(self.objects)
 
 
-def _parse_ground_atom(
-    group: Group, objects: dict[str, str], schema: DomainSchema
-) -> GroundAtom:
-    if not group.items:
-        raise _fail(group, "empty atom")
-    name = _expect_atom(group.items[0], "predicate name").text
-    try:
-        pred = schema.predicate(name)
-    except Exception:
-        raise _fail(group.items[0], f"unknown predicate: {name}") from None
-    args = group.items[1:]
-    if len(args) != pred.arity:
-        raise _fail(group, f"predicate {name} expects {pred.arity} arguments, got {len(args)}")
-    names = []
-    for slot, arg in enumerate(args):
-        atom = _expect_atom(arg, "object name")
-        if atom.text not in objects:
-            raise _fail(atom, f"unknown object: {atom.text}")
-        if objects[atom.text] != pred.param_types[slot]:
-            raise _fail(atom, f"object {atom.text} has type {objects[atom.text]}, "
-                              f"predicate {name} needs {pred.param_types[slot]}")
-        names.append(atom.text)
-    return GroundAtom(name, tuple(names))
+def _ground_atoms(items: Iterable[SExpr], predicates: Mapping[str, PredicateSchema],
+                  objects: Mapping[str, tuple[str, str]]) -> Iterable[GroundAtom]:
+    for node in items:
+        yield GroundAtom(*read_term(node, predicates, "predicate", objects, "object"))
 
 
 def parse_problem(text: str, schema: DomainSchema) -> ProblemSpec:
-    tops = read_sexprs(text)
-    if len(tops) != 1:
-        raise ParseError("problem file must contain a single (define ...) form", 1, 1)
-    define = _expect_group(tops[0], "(define ...)")
-    if _head(define) != "define":
-        raise _fail(define, "expected (define (problem ...) ...)")
-    sections = define.items[1:]
-    if not sections:
-        raise _fail(define, "missing (problem NAME)")
-    name_group = _expect_group(sections[0], "(problem NAME)")
-    if _head(name_group) != "problem" or len(name_group.items) != 2:
-        raise _fail(name_group, "expected (problem NAME)")
-    pname = _expect_atom(name_group.items[1], "problem name").text
-
-    domain = ""
-    objects: dict[str, str] = {}
+    _, pname, sections = _define(text, "problem")
+    objects: dict[str, tuple[str, str]] = {}
     init: list[GroundAtom] = []
     goal: list[GroundAtom] = []
-    for section in sections[1:]:
-        group = _expect_group(section, "a problem section")
-        head = _head(group)
+    for section in sections:
+        head, items = split_form(section, "a problem section")
         if head == ":domain":
-            if len(group.items) != 2:
-                raise _fail(group, "expected (:domain NAME)")
-            domain = _expect_atom(group.items[1], "domain name").text
-            if domain != schema.name:
-                raise _fail(group, f"problem is for domain {domain}, schema is {schema.name}")
+            check_domain(section, schema, "problem")
         elif head == ":objects":
-            for name, otype in _parse_typed_names(group.items[1:], group, "object"):
-                if otype not in schema.types:
-                    raise _fail(group, f"object {name} has undeclared type {otype}")
-                if name in objects:
-                    raise _fail(group, f"duplicate object: {name}")
-                objects[name] = otype
+            _read_objects(section, items, schema, objects)
         elif head == ":init":
-            for item in group.items[1:]:
-                init.append(_parse_ground_atom(_expect_group(item, "an atom"), objects, schema))
+            init.extend(_ground_atoms(items, schema.predicate_table, objects))
         elif head == ":goal":
-            for g in _conjuncts_of_goal(group):
-                goal.append(_parse_ground_atom(g, objects, schema))
+            atoms = _conjuncts(items[0], "a goal") if len(items) == 1 else items
+            goal.extend(_ground_atoms(atoms, schema.predicate_table, objects))
         else:
-            raise _fail(group, f"unknown problem section: {head!r}")
+            raise fail(section, f"unknown problem section: {head!r}")
     return ProblemSpec(
         name=pname,
-        domain=domain or schema.name,
-        objects=tuple(sorted(objects.items())),
+        domain=schema.name,
+        objects=tuple(sorted(objects.values())),
         init=make_state(init),
         goal=frozenset(goal),
     )
-
-
-def _conjuncts_of_goal(group: Group) -> list[Group]:
-    if len(group.items) == 2 and isinstance(group.items[1], Group):
-        return _conjuncts(group.items[1])
-    return [_expect_group(g, "an atom") for g in group.items[1:]]
 
 
 # -- traces -----------------------------------------------------------------
@@ -421,86 +400,59 @@ def parse_traces(text: str, schema: DomainSchema) -> list[PlanTrace]:
     """Parse a .traces file: zero or more (trace ...) blocks."""
     traces = []
     for top in read_sexprs(text):
-        group = _expect_group(top, "a (trace ...) block")
-        if _head(group) != "trace":
-            raise _fail(group, "expected (trace ...)")
-        traces.append(_parse_trace(group, schema))
+        head, sections = split_form(top, "a (trace ...) block")
+        if head != "trace":
+            raise fail(top, "expected (trace ...)")
+        traces.append(_parse_trace(top, sections, schema))
     return traces
 
 
-def _parse_trace(group: Group, schema: DomainSchema) -> PlanTrace:
-    objects: dict[str, str] = {}
+def trace_domain(text: str) -> str:
+    """The domain named by the (:domain NAME) header of a .traces file's
+    first trace."""
+    for top in read_sexprs(text)[:1]:
+        for section in split_form(top, "a (trace ...) block")[1]:
+            if split_form(section, "a trace section")[0] == ":domain":
+                return read_name(section, ":domain", "domain")
+    raise ParseError("trace file has no (:domain NAME) header", 1, 1)
+
+
+def _parse_trace(top: SExpr, sections: tuple[SExpr, ...], schema: DomainSchema) -> PlanTrace:
+    predicates, actions = schema.predicate_table, schema.action_table
+    objects: dict[str, tuple[str, str]] = {}
     steps: list = []
     stage = "header"
-    for item in group.items[1:]:
-        sub = _expect_group(item, "a trace section")
-        head = _head(sub)
+    for section in sections:
+        head, items = split_form(section, "a trace section")
         if head == ":domain":
-            if len(sub.items) != 2:
-                raise _fail(sub, "expected (:domain NAME)")
-            dname = _expect_atom(sub.items[1], "domain name").text
-            if dname != schema.name:
-                raise _fail(sub, f"trace is for domain {dname}, schema is {schema.name}")
+            check_domain(section, schema, "trace")
         elif head == ":objects":
-            for name, otype in _parse_typed_names(sub.items[1:], sub, "object"):
-                if otype not in schema.types:
-                    raise _fail(sub, f"object {name} has undeclared type {otype}")
-                objects[name] = otype
+            _read_objects(section, items, schema, objects)
         elif head == ":init":
             if stage != "header":
-                raise _fail(sub, "(:init ...) must come before any action")
-            steps.append(make_state(
-                _parse_ground_atom(_expect_group(g, "an atom"), objects, schema)
-                for g in sub.items[1:]
-            ))
+                raise fail(section, "(:init ...) must come before any action")
+            steps.append(make_state(_ground_atoms(items, predicates, objects)))
             stage = "after-state"
         elif head == "action":
             if stage != "after-state":
-                raise _fail(sub, "two actions with no state between them")
-            if len(sub.items) != 2:
-                raise _fail(sub, "expected (action (NAME obj...))")
-            steps.append(_parse_ground_action(_expect_group(sub.items[1], "a ground action"),
-                                              objects, schema))
+                raise fail(section, "two actions with no state between them")
+            if len(items) != 1:
+                raise fail(section, "expected (action (NAME obj...))")
+            steps.append(GroundAction(*read_term(items[0], actions, "action", objects, "object")))
             stage = "after-action"
         elif head in ("state", ":goal"):
             if stage != "after-action":
-                raise _fail(sub, "state block must follow an action")
-            steps.append(make_state(
-                _parse_ground_atom(_expect_group(g, "an atom"), objects, schema)
-                for g in sub.items[1:]
-            ))
+                raise fail(section, "state block must follow an action")
+            steps.append(make_state(_ground_atoms(items, predicates, objects)))
             stage = "done" if head == ":goal" else "after-state"
         else:
-            raise _fail(sub, f"unknown trace section: {head!r}")
+            raise fail(section, f"unknown trace section: {head!r}")
     if stage != "done":
-        raise _fail(group, "trace must end with a (:goal ...) state")
+        raise fail(top, "trace must end with a (:goal ...) state")
     try:
-        return PlanTrace(tuple(sorted(objects.items())), tuple(steps))
+        return PlanTrace(tuple(sorted(objects.values())), tuple(steps))
     except ValueError as exc:
-        raise _fail(group, str(exc))
-
-
-def _parse_ground_action(group: Group, objects: dict[str, str], schema: DomainSchema) -> GroundAction:
-    if not group.items:
-        raise _fail(group, "empty action")
-    name = _expect_atom(group.items[0], "action name").text
-    try:
-        sig = schema.action(name)
-    except Exception:
-        raise _fail(group.items[0], f"unknown action: {name}") from None
-    args = group.items[1:]
-    if len(args) != sig.arity:
-        raise _fail(group, f"action {name} expects {sig.arity} arguments, got {len(args)}")
-    arg_names = []
-    for slot, arg in enumerate(args):
-        atom = _expect_atom(arg, "object name")
-        if atom.text not in objects:
-            raise _fail(atom, f"unknown object: {atom.text}")
-        if objects[atom.text] != sig.param_types[slot]:
-            raise _fail(atom, f"object {atom.text} has type {objects[atom.text]}, "
-                              f"action {name} needs {sig.param_types[slot]}")
-        arg_names.append(atom.text)
-    return GroundAction(name, tuple(arg_names))
+        raise fail(top, str(exc))
 
 
 # -- serialization ----------------------------------------------------------
@@ -516,6 +468,14 @@ def _format_typed_vars(names: Iterable[str], types: Iterable[str]) -> str:
 
 def _format_ref(ref: LiftedPredicateRef, var_names: list[str]) -> str:
     return "(%s)" % " ".join([ref.predicate] + [var_names[i] for i in ref.binding])
+
+
+def _format_objects(objects: Iterable[tuple[str, str]]) -> str:
+    by_type: dict[str, list[str]] = {}
+    for name, otype in objects:
+        by_type.setdefault(otype, []).append(name)
+    parts = ["%s - %s" % (" ".join(sorted(by_type[t])), t) for t in sorted(by_type)]
+    return "(:objects %s)" % " ".join(parts)
 
 
 def serialize_model(model: ActionModel) -> str:
@@ -554,13 +514,7 @@ def serialize_model(model: ActionModel) -> str:
 def serialize_problem(problem: ProblemSpec) -> str:
     lines = [f"(define (problem {problem.name})"]
     lines.append(f"  (:domain {problem.domain})")
-    by_type: dict[str, list[str]] = {}
-    for name, otype in problem.objects:
-        by_type.setdefault(otype, []).append(name)
-    parts = []
-    for otype in sorted(by_type):
-        parts.append("%s - %s" % (" ".join(sorted(by_type[otype])), otype))
-    lines.append("  (:objects %s)" % " ".join(parts))
+    lines.append("  " + _format_objects(problem.objects))
     lines.append("  (:init %s)" % " ".join(a.pretty() for a in sorted(problem.init.atoms)))
     lines.append("  (:goal (and %s))" % " ".join(a.pretty() for a in sorted(problem.goal)))
     lines.append(")")
@@ -572,11 +526,7 @@ def serialize_traces(traces: Iterable[PlanTrace], domain_name: str) -> str:
     for trace in traces:
         lines = ["(trace"]
         lines.append(f"  (:domain {domain_name})")
-        by_type: dict[str, list[str]] = {}
-        for name, otype in trace.objects:
-            by_type.setdefault(otype, []).append(name)
-        parts = ["%s - %s" % (" ".join(sorted(by_type[t])), t) for t in sorted(by_type)]
-        lines.append("  (:objects %s)" % " ".join(parts))
+        lines.append("  " + _format_objects(trace.objects))
         lines.append("  (:init %s)" % " ".join(a.pretty() for a in trace.initial_state.sorted_atoms()))
         steps = trace.steps
         for i in range(1, len(steps), 2):

@@ -115,16 +115,10 @@ class PipelineConfig:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:12]
 
 
-_BOOL_KEYS = {"strict_del", "include_reference", "skip_mining"}
-_INT_KEYS = {"trace_count", "catalog", "seed", "sample_seed", "max_expansions",
-             "max_relevant", "budget", "hidden_units", "epochs", "folds"}
-_FLOAT_KEYS = {"dropout", "learning_rate", "init_gain"}
-
-
 def parse_config(text: str) -> PipelineConfig:
     """Flat key = value file; '#' and ';' start comments."""
     values: dict = {}
-    known = {f.name for f in fields(PipelineConfig)}
+    defaults = {f.name: f.default for f in fields(PipelineConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
         if not line:
@@ -134,16 +128,15 @@ def parse_config(text: str) -> PipelineConfig:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in known:
+        if key not in defaults:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in _BOOL_KEYS:
+        kind = type(defaults[key])
+        if kind is bool:
             if value.lower() not in ("true", "false", "yes", "no", "1", "0"):
                 raise ValueError(f"config line {lineno}: bad boolean {value!r}")
             values[key] = value.lower() in ("true", "yes", "1")
-        elif key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
+        elif kind in (int, float):
+            values[key] = kind(value)
         elif key == "schedule":
             values[key] = tuple(int(v) for v in value.split(",") if v.strip()) if value else ()
         elif key == "object_ranges":

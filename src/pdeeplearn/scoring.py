@@ -117,10 +117,7 @@ def score_models(
         scores.append(ModelScore(
             candidate.model_id, tuple(correct), tuple(total),
             candidate.model.total_predicates))
-    selected = min(
-        scores, key=lambda s: (-s.mean_accuracy, s.total_predicates, s.model_id)
-    ).model_id
-    return scores, selected
+    return scores, ranked(scores)[0].model_id
 
 
 def ranked(scores: Sequence[ModelScore]) -> list[ModelScore]:

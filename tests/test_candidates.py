@@ -3,8 +3,15 @@
 import pytest
 
 from pdeeplearn import candidates as cand
-from pdeeplearn.core import ActionSignature, LiftedPredicateRef as Ref, PredicateSchema, make_entry
+from pdeeplearn.core import (
+    ActionSignature,
+    DomainSchema,
+    LiftedPredicateRef as Ref,
+    PredicateSchema,
+    make_entry,
+)
 from pdeeplearn.domains import get_domain
+from pdeeplearn.pddl import ParseError
 from pdeeplearn.util import stream_rng
 
 
@@ -175,3 +182,59 @@ def test_random_schemas_count_law():
             continue
         cas = cand.enumerate_candidates(action, refs)
         assert len(cas) == 5 ** len(refs)
+
+
+@pytest.fixture(scope="module")
+def gripper_file(gripper):
+    schema, _ = gripper
+    return cand.write_candidates(cand.build_space(schema))
+
+
+@pytest.mark.parametrize("line, old, new, message", [
+    (2, "(:domain gripper)", "(:domain kiln)", "candidate file is for domain kiln"),
+    (3, "(:action drop", "(:action throw", "unknown action: throw"),
+    (4, "(at 1 2)", "(at 0 2)", "position 0 has type robot, predicate at needs ball"),
+    (4, "(at 1 2)", "(at 1 7)", "unknown position: 7"),
+    (4, "(at 1 2)", "(on 1 2)", "unknown predicate: on"),
+    (4, "(at 1 2)", "(at 1 2) (at 1 2)", "repeated ref: (at 1 2)"),
+    (4, " (free 0 3)", "", "(free 0 3) is not in the :relevant list of drop"),
+    (5, "(:count 625)", "(:count 624)", "(:count 624) but drop has 625 candidates"),
+    (6, "(:pre )", "(:prec )", "unknown candidate list: :prec"),
+    (6, "(:del )", "(:add )", "repeated candidate list: :add"),
+    (6, "(:add ) (:del )", "(:add (free 0 3)) (:del (free 0 3))", "add and del lists intersect"),
+    (6, "(:candidate", "(:candidates", "expected (:candidate"),
+])
+def test_candidate_file_rule_violations_are_located(gripper, gripper_file, line, old, new,
+                                                    message):
+    schema, _ = gripper
+    lines = gripper_file.splitlines()
+    # A ref dropped from :relevant is first used on line 7.
+    at = 7 if new == "" else line
+    assert old in lines[line - 1]
+    lines[line - 1] = lines[line - 1].replace(old, new, 1)
+    with pytest.raises(ParseError) as err:
+        cand.read_candidates("\n".join(lines), schema)
+    assert message in str(err.value)
+    assert err.value.line == at
+
+
+def test_candidate_file_needs_every_action_once(gripper, gripper_file):
+    schema, _ = gripper
+    drop = gripper_file.index("  (:action drop")
+    move = gripper_file.index("  (:action move")
+    with pytest.raises(ParseError, match="do not cover") as err:
+        cand.read_candidates(gripper_file[:drop] + gripper_file[move:], schema)
+    assert err.value.line == 1
+    repeated = gripper_file[:move] + gripper_file[drop:move] + gripper_file[move:]
+    with pytest.raises(ParseError, match="duplicate action: drop"):
+        cand.read_candidates(repeated, schema)
+
+
+def test_candidate_ref_must_be_a_relevant_binding():
+    # (adj 0 0) is well typed but binds one parameter twice.
+    schema = DomainSchema("rooms", frozenset({"room"}), (PredicateSchema("adj", ("room", "room")),),
+                          (ActionSignature("go", ("room", "room")),))
+    text = cand.write_candidates(cand.build_space(schema)).replace("(adj 0 1)", "(adj 0 0)", 1)
+    with pytest.raises(ParseError, match=r"\(adj 0 0\) is not relevant to go") as err:
+        cand.read_candidates(text, schema)
+    assert err.value.line == 4

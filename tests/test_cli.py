@@ -277,3 +277,30 @@ def test_domain_files_load_by_path_and_need_a_unitary_problem(tmp_path, capsys):
     assert main(["pipeline", "--config", str(config), "--out-root",
                  str(tmp_path / "runs")]) == 1
     assert "unregistered domains need a 'unitary' problem path" in capsys.readouterr().err
+
+
+def test_prune_rejects_a_candidate_file_of_another_domain(tmp_path, capsys):
+    cands = tmp_path / "c.sexp"
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"frequent_pairs": []}))
+    assert main(["enumerate", "--domain", "kiln", "--out", str(cands)]) == 0
+    capsys.readouterr()
+    code = main(["prune", "--candidates", str(cands), "--rules", str(rules),
+                 "--domain", "gripper", "--out", str(tmp_path / "pruned.sexp")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "line 2, column 3: candidate file is for domain kiln, schema is gripper" in err
+    assert not (tmp_path / "pruned.sexp").exists()
+
+
+def test_config_value_types_follow_the_field_defaults():
+    from dataclasses import fields
+
+    config = parse_config(PipelineConfig().canonical_text())
+    assert config == PipelineConfig()
+    for f in fields(PipelineConfig):
+        assert type(getattr(config, f.name)) is type(f.default), f.name
+    with pytest.raises(ValueError, match="bad boolean"):
+        parse_config("skip_mining = 2")
+    with pytest.raises(ValueError):
+        parse_config("budget = 1.5")

@@ -1,7 +1,11 @@
 """Parser and serializer tests: located errors, round trips, trace grammar."""
 
+import random
+import re
+
 import pytest
 
+from pdeeplearn.candidates import read_candidates
 from pdeeplearn.core import GroundAction, GroundAtom
 from pdeeplearn.domains import get_domain
 from pdeeplearn.pddl import (
@@ -12,6 +16,7 @@ from pdeeplearn.pddl import (
     serialize_model,
     serialize_problem,
     serialize_traces,
+    trace_domain,
 )
 from pdeeplearn.util import stream_rng
 
@@ -63,13 +68,75 @@ def test_unclosed_paren_reports_position():
     assert err.value.line == 2
 
 
-def test_parser_survives_arbitrary_text():
+def _readers():
+    schema, _ = parse_domain(get_domain("gripper").domain_text())
+    return {
+        "domain": ("(define (domain d)\n", parse_domain),
+        "problem": ("(define (problem p) (:domain gripper)\n",
+                    lambda text: parse_problem(text, schema)),
+        "traces": ("(trace (:domain gripper)\n", lambda text: parse_traces(text, schema)),
+        "candidates": ("(candidate-sets (:domain gripper)\n",
+                       lambda text: read_candidates(text, schema)),
+    }
+
+
+@pytest.mark.parametrize("reader", ["domain", "problem", "traces", "candidates"])
+def test_parser_survives_arbitrary_text(reader):
+    # A valid header first, so that the random body reaches the section code.
+    header, parse = _readers()[reader]
     rng = stream_rng(7, "fuzz")
     alphabet = "()abc ?-:\n;01"
     for _ in range(300):
         text = "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=40))
         try:
-            parse_domain(text)
+            parse(header + text + "\n)")
+        except ParseError:
+            pass
+
+
+def _canonical_texts():
+    from pdeeplearn.candidates import (CandidateModelSpace, enumerate_candidates,
+                                       relevant_predicates, write_candidates)
+    from pdeeplearn.tracegen import GenerationSpec, PlannerConfig, generate_traces
+
+    info = get_domain("gripper")
+    schema, model = parse_domain(info.domain_text())
+    spec = GenerationSpec(problem_count=2, object_count_ranges=info.default_ranges, rng_seed=1)
+    traces = generate_traces(spec, model, PlannerConfig(rng_seed=1), info.sampler)
+    space = CandidateModelSpace(schema, tuple(
+        enumerate_candidates(sig, relevant_predicates(sig, schema.predicates)[:2])
+        for sig in schema.actions))
+    return {
+        "domain": info.domain_text(),
+        "problem": info.unitary_text(),
+        "traces": serialize_traces(traces, schema.name),
+        "candidates": write_candidates(space),
+    }
+
+
+@pytest.mark.parametrize("reader", ["domain", "problem", "traces", "candidates"])
+def test_mutated_files_raise_only_parse_errors(reader):
+    # Delete, replace, insert or swap one to three tokens of a valid file.
+    _, parse = _readers()[reader]
+    tokens = re.findall(r"[()]|[^\s()]+", _canonical_texts()[reader])
+    vocab = ["(", ")", "0", "1", "3", "-", "at", "free", "pick", "b1", "ball", "?x0",
+             "and", "not", ":pre", ":add", ":del", ":count", ":domain", ":objects", "kiln"]
+    rng = random.Random(5)
+    for _ in range(300):
+        body = list(tokens)
+        for _ in range(rng.randint(1, 3)):
+            i, op = rng.randrange(len(body)), rng.randrange(4)
+            if op == 0:
+                del body[i]
+            elif op == 1:
+                body[i] = rng.choice(vocab)
+            elif op == 2:
+                body.insert(i, rng.choice(vocab))
+            else:
+                j = rng.randrange(len(body))
+                body[i], body[j] = body[j], body[i]
+        try:
+            parse(" ".join(body))
         except ParseError:
             pass
 
@@ -170,3 +237,24 @@ def test_serialized_model_orders_actions_and_predicates(gripper):
     pick_block = text[pick:]
     # pre list sorted: at before at-robby before free
     assert pick_block.index("(at ") < pick_block.index("(at-robby ") < pick_block.index("(free ")
+
+
+def test_duplicate_object_in_trace_header_is_rejected(gripper):
+    _, schema, _ = gripper
+    text = """(trace (:domain gripper)
+  (:objects b1 - ball b1 - room rob - robot g - gripper)
+  (:init (at-robby rob b1))
+  (action (move rob b1 b1))
+  (:goal (at-robby rob b1)))"""
+    with pytest.raises(ParseError, match="duplicate object: b1") as err:
+        parse_traces(text, schema)
+    assert (err.value.line, err.value.col) == (2, 3)
+
+
+def test_trace_domain_reads_the_first_header(gripper):
+    assert trace_domain("(trace (:objects) (:domain kiln))\n(trace (:domain gripper))") == "kiln"
+    with pytest.raises(ParseError, match="no \\(:domain NAME\\) header"):
+        trace_domain("(trace (:objects b - ball))")
+    with pytest.raises(ParseError) as err:
+        trace_domain("(trace\n  (:domain))")
+    assert err.value.line == 2
