@@ -8,9 +8,11 @@ pipeline encodes it (same traces, padding and initial parameters), and
 one round is a pass over that split calling one function per sequence:
 loss_and_gradients into one reused gradient buffer as train calls it,
 adam_step, or lstm_forward. extra_info["sequences"] holds the split size;
-a round's time divided by it is the per-sequence time. The pipeline
-trains its folds in worker processes, where perfbench's tracer cannot
-see these calls, so they are timed here.
+a round's time divided by it is the per-sequence time. test_train times
+the whole fold instead: one round is one train call, every epoch of it,
+as a fold worker runs it. The pipeline trains its folds in worker
+processes, where perfbench's tracer cannot see these calls, so they are
+timed here.
 """
 
 from dataclasses import dataclass
@@ -28,6 +30,7 @@ from pdeeplearn.lstm import (
     init_parameters,
     loss_and_gradients,
     lstm_forward,
+    train,
     zero_like,
 )
 from pdeeplearn.pipeline import shipped_config
@@ -105,3 +108,9 @@ def test_lstm_forward(benchmark, fold0):
 
     benchmark.extra_info["sequences"] = len(fold0.dataset)
     benchmark(one_pass)
+
+
+def test_train(benchmark, fold0):
+    benchmark.extra_info["sequences"] = len(fold0.dataset)
+    benchmark.extra_info["epochs"] = fold0.cfg.epochs
+    benchmark.pedantic(train, args=(fold0.dataset, fold0.cfg, ("fold", 0)), rounds=3)

@@ -3,26 +3,30 @@
 One recurrent layer (input, forget, output, and candidate gates packed
 into fused weight matrices) feeds a softmax head through inverted dropout
 during training. Training is plain backpropagation through time over the
-real steps of each sequence (padding is never touched), one sequence per
-Adam update. Parameters, gradients and the Adam moments each sit in one
-contiguous float64 buffer, which the update rewrites in place; train
-reuses one gradient buffer for every sequence.
+real steps of each sequence, one sequence per Adam update. Parameters,
+gradients and the Adam moments each sit in one contiguous float64 buffer,
+which the update rewrites in place; train reuses one gradient buffer.
 
-BPTT skips work whose result is known to be zero, and returns the same
-bytes as the full computation:
+The step loops compute only the recurrence; the rest is one whole-matrix
+operation per sequence. Forward: gates = xs @ W + b before the loop,
+logits = dropped @ w_out + b_out and a row-wise softmax after it.
+Backward: dlogits, dw_out, db_out and every step's dh at once; the
+reverse loop carries dc and dh back and stores each dz_t. Then dW =
+xs.T @ dzs, db = dzs summed over steps and dU = hs[1:steps].T @ dzs[1:]
+(h_0 = 0): three gemms in place of two outer products per step. Adam
+takes the efficient form of Kingma & Ba (2015), section 2: the bias
+corrections fold into the step lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
+eps_hat = eps * sqrt(1 - beta2^t), which saves two full-length divisions
+per update.
 
-* dW gets np.outer(x_t, dz) only in the rows where x_t != 0. A zero row
-  would add 0 * dz = +-0, and adding +-0 leaves any value unchanged: a
-  gradient buffer starts at +0, and a sum is -0 only when both terms are,
-  so the buffer never holds -0. This holds for any input, not only for
-  one-hot rows, as long as dz is finite. A non-finite dz also reaches db,
-  whose every entry is added, so the next forward pass still raises
-  NumericError.
-* At t = 0 the dU term is skipped (h_0 = 0, so it is +-0 as above), and
-  so are dc_next and U @ dz, which nothing reads after the first step.
-* The dU outer product comes from einsum: the same single rounded
-  product per element, except that a zero product may come out as +0
-  where np.outer gives -0, which the sum cannot tell apart.
+Only the real rows [0, valid_steps) of a sequence enter any product, so
+padding stays bit-neutral. The gemms add the per-step terms in another
+order, so the gradients match a per-step computation (kept in the tests
+as an oracle) to within 1e-12 of their largest entry, not bit for bit.
+Over the 15 folds of the shipped configs, the parameters differ from
+those of per-step BPTT with the unfolded Adam by at most 8.9e-15 (1.6e-14
+at seed shifts 1000 and 2000), the epoch losses by at most 2.2e-16, and
+every score and selection is the same.
 """
 
 from __future__ import annotations
@@ -168,12 +172,6 @@ def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 @dataclass
 class _Cache:
     xs: np.ndarray
@@ -193,28 +191,26 @@ def _run_forward(params: LstmParameters, seq: EncodedSequence,
     xs = seq.inputs[:steps]
     hs = np.zeros((steps + 1, h))
     cs = np.zeros((steps + 1, h))
-    gates = np.zeros((steps, 4 * h))
-    tanh_cs = np.zeros((steps, h))
-    dropped = np.zeros((steps, h))
-    probs = np.zeros((steps, params.output_dim))
+    tanh_cs = np.empty((steps, h))
+    # Every input-side term at once; the loop adds only h_{t-1} @ U.
+    gates = xs @ params.W + params.b
     for t in range(steps):
-        z = xs[t] @ params.W + hs[t] @ params.U + params.b
         gate = gates[t]
-        _sigmoid(z[:3 * h], out=gate[:3 * h])
-        np.tanh(z[3 * h:], out=gate[3 * h:])
+        if t:  # h_0 = 0
+            gate += hs[t] @ params.U
+        _sigmoid(gate[:3 * h], out=gate[:3 * h])
+        np.tanh(gate[3 * h:], out=gate[3 * h:])
         i, f, o, g = gate[:h], gate[h:2 * h], gate[2 * h:3 * h], gate[3 * h:]
-        c = f * cs[t] + i * g
-        tc = np.tanh(c)
-        hid = o * tc
-        cs[t + 1] = c
-        hs[t + 1] = hid
-        tanh_cs[t] = tc
-        hd = hid * masks[t] if masks is not None else hid
-        logits = hd @ params.w_out + params.b_out
-        if not np.all(np.isfinite(logits)):
-            raise NumericError(f"non-finite activation at step {t}")
-        dropped[t] = hd
-        probs[t] = _softmax(logits)
+        np.add(f * cs[t], i * g, out=cs[t + 1])
+        np.tanh(cs[t + 1], out=tanh_cs[t])
+        np.multiply(o, tanh_cs[t], out=hs[t + 1])
+    dropped = hs[1:] * masks if masks is not None else hs[1:]
+    logits = dropped @ params.w_out + params.b_out
+    finite = np.isfinite(logits).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"non-finite activation at step {int(np.argmin(finite))}")
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
     return _Cache(xs, hs, cs, gates, tanh_cs, dropped, probs, masks)
 
 
@@ -245,36 +241,30 @@ def loss_and_gradients(
     """Summed cross entropy, target-step count, and its exact gradient.
 
     out, when given, is a gradient buffer made by zero_like(params); it is
-    zero-filled, written and returned, so that one buffer can serve every
-    sequence of a training run. Without it the gradient is a fresh buffer.
+    overwritten and returned, so that one buffer can serve every sequence
+    of a training run. Without it the gradient is a fresh buffer.
     """
     cache = _run_forward(params, seq, dropout_mask)
     h = params.hidden
     steps = seq.valid_steps
-    target_steps = seq.target_steps
-    if out is None:
-        grads = zero_like(params)
-    else:
-        grads = out
-        _flat(grads).fill(0.0)
+    loss, target_steps = sequence_loss(cache.probs, seq)
+    grads = zero_like(params) if out is None else out
     dW, dU, db, dw_out, db_out = grads.arrays().values()
-    # dz and the recurrent outer product are rewritten each step.
-    dz = np.empty(4 * h)
-    outer_h = np.empty_like(dU)
-    dh_next = np.zeros(h)
+    # The softmax head for every target step at once. The final step has
+    # no target, so its dh starts at zero.
+    dlogits = cache.probs[:target_steps] - seq.targets[:target_steps]
+    np.matmul(cache.dropped[:target_steps].T, dlogits, out=dw_out)
+    np.sum(dlogits, axis=0, out=db_out)
+    dhs = np.zeros((steps, h))
+    np.matmul(dlogits, params.w_out.T, out=dhs[:target_steps])
+    if cache.masks is not None:
+        dhs[:target_steps] *= cache.masks[:target_steps]
+    # The loop carries dc and dh back through the recurrence and keeps each
+    # step's gate gradient dz_t for the weight gemms after it.
+    dzs = np.empty((steps, 4 * h))
     dc_next = np.zeros(h)
-    loss = 0.0
     for t in range(steps - 1, -1, -1):
-        dh = dh_next  # a fresh array each step, so it may be updated in place
-        if t < target_steps:
-            y = seq.targets[t]
-            p = cache.probs[t]
-            loss += float(-np.log((p * y).sum()))
-            dlogits = p - y
-            dw_out += np.outer(cache.dropped[t], dlogits)
-            db_out += dlogits
-            dhd = params.w_out @ dlogits
-            dh += dhd * cache.masks[t] if cache.masks is not None else dhd
+        dh = dhs[t]
         gate = cache.gates[t]
         sig = gate[:3 * h]
         i, f, o, g = gate[:h], gate[h:2 * h], gate[2 * h:3 * h], gate[3 * h:]
@@ -282,6 +272,7 @@ def loss_and_gradients(
         dc = dh * o * (1.0 - tc * tc) + dc_next
         # dz = [di, df, do] * sig * (1 - sig) and dg * (1 - g * g), with
         # di = dc * g, df = dc * c_prev, do = dh * tanh(c), dg = dc * i.
+        dz = dzs[t]
         np.multiply(dc, g, out=dz[:h])
         np.multiply(dc, cache.cs[t], out=dz[h:2 * h])
         np.multiply(dh, tc, out=dz[2 * h:3 * h])
@@ -289,41 +280,43 @@ def loss_and_gradients(
         dz[:3 * h] *= 1.0 - sig
         np.multiply(dc, i, out=dz[3 * h:])
         dz[3 * h:] *= 1.0 - g * g
-        x = cache.xs[t]
-        rows = np.flatnonzero(x)
-        dW[rows] += np.outer(x[rows], dz)
-        db += dz
-        if t > 0:  # h_0 = 0, and nothing reads dc_next or dh_next after t = 0
-            dU += np.einsum("i,j->ij", cache.hs[t], dz, out=outer_h)
+        if t > 0:  # nothing reads dc_next or dh_{t-1} after t = 0
             dc_next = dc * f
-            dh_next = params.U @ dz
+            dhs[t - 1] += params.U @ dz
+    np.matmul(cache.xs.T, dzs, out=dW)
+    np.sum(dzs, axis=0, out=db)
+    np.matmul(cache.hs[1:steps].T, dzs[1:], out=dU)  # h_0 = 0 adds nothing
     return loss, target_steps, grads
 
 
 @dataclass
 class AdamState:
-    """Flat first and second moments, plus two scratch vectors of the
-    same size for the update."""
+    """Flat first and second moments, plus a scratch vector of their size."""
 
     m: np.ndarray
     v: np.ndarray
-    scratch: tuple[np.ndarray, np.ndarray]
+    scratch: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: LstmParameters) -> "AdamState":
         size = _flat(params).size
-        return cls(np.zeros(size), np.zeros(size), (np.empty(size), np.empty(size)))
+        return cls(np.zeros(size), np.zeros(size), np.empty(size))
 
 
 def adam_step(params: LstmParameters, grads: LstmParameters, state: AdamState,
               cfg: TrainConfig) -> LstmParameters:
-    """Update params in place and return them. The operations are those of
-    p - lr * (m / c1) / (sqrt(v / c2) + eps), in the same order, so the
-    result is bit-identical to that out-of-place formula."""
+    """Update params in place and return them, in the efficient form of
+    Kingma & Ba (2015), section 2: the bias corrections fold into one
+    scalar step = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and into
+    eps_hat = eps * sqrt(1 - beta2^t), and p -= step * (m / (sqrt(v) +
+    eps_hat)) equals p -= lr * m_hat / (sqrt(v_hat) + eps). The operations
+    are those of that out-of-place formula, in the same order, so the
+    result is bit-identical to it."""
     state.t += 1
-    p, g, m, v = _flat(params), _flat(grads), state.m, state.v
-    s, u = state.scratch
+    p, g, m, v, s = _flat(params), _flat(grads), state.m, state.v, state.scratch
+    root_c2 = np.sqrt(1.0 - cfg.beta2 ** state.t)
+    step = cfg.learning_rate * root_c2 / (1.0 - cfg.beta1 ** state.t)
     m *= cfg.beta1
     np.multiply(g, 1.0 - cfg.beta1, out=s)
     m += s
@@ -331,13 +324,11 @@ def adam_step(params: LstmParameters, grads: LstmParameters, state: AdamState,
     np.multiply(g, 1.0 - cfg.beta2, out=s)
     s *= g
     v += s
-    np.divide(v, 1.0 - cfg.beta2 ** state.t, out=s)
-    np.sqrt(s, out=s)
-    s += cfg.epsilon
-    np.divide(m, 1.0 - cfg.beta1 ** state.t, out=u)
-    u *= cfg.learning_rate
-    u /= s
-    p -= u
+    np.sqrt(v, out=s)
+    s += cfg.epsilon * root_c2
+    np.divide(m, s, out=s)
+    s *= step
+    p -= s
     return params
 
 

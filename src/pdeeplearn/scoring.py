@@ -100,23 +100,31 @@ def score_models(
     sampled: SampledModelSet,
     layout: EncodingLayout,
 ) -> tuple[list[ModelScore], str]:
-    """Validation accuracy of every sampled model plus the selected id."""
+    """Validation accuracy of every sampled model plus the selected id.
+
+    A validation encoding ignores the states, so its real input rows fix
+    its targets too; a fold scores each distinct row block once."""
     pad_len = max_action_count(traces)
-    scores = []
-    for candidate in sampled.models:
-        correct, total = [], []
-        for fold in folds:
-            val_traces = [traces[i] for i in fold.validation_indices]
-            dataset = encode_corpus(val_traces, layout, model=candidate.model,
-                                    pad_len=pad_len)
-            c, t = accuracy(fold.params, dataset)
+    correct = [[] for _ in sampled.models]
+    total = [[] for _ in sampled.models]
+    for fold in folds:
+        val_traces = [traces[i] for i in fold.validation_indices]
+        counts: dict[bytes, tuple[int, int]] = {}
+        for k, candidate in enumerate(sampled.models):
+            c = t = 0
+            for seq in encode_corpus(val_traces, layout, model=candidate.model,
+                                     pad_len=pad_len):
+                key = seq.inputs[:seq.valid_steps].tobytes()
+                if key not in counts:
+                    counts[key] = accuracy(fold.params, [seq])
+                c += counts[key][0]
+                t += counts[key][1]
             if t == 0:
                 raise ValueError(f"fold {fold.fold_index} has no target steps")
-            correct.append(c)
-            total.append(t)
-        scores.append(ModelScore(
-            candidate.model_id, tuple(correct), tuple(total),
-            candidate.model.total_predicates))
+            correct[k].append(c)
+            total[k].append(t)
+    scores = [ModelScore(m.model_id, tuple(c), tuple(t), m.model.total_predicates)
+              for m, c, t in zip(sampled.models, correct, total)]
     return scores, ranked(scores)[0].model_id
 
 

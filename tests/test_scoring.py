@@ -99,6 +99,23 @@ def test_score_models_scores_every_model(kiln_setup):
     assert best.model_id == selected
 
 
+def test_a_duplicated_model_scores_as_it_does_alone(kiln_setup):
+    # Models that encode a trace alike share one forward pass per fold;
+    # the shared counts must be the ones each model gets on its own.
+    schema, model, unitary, traces, layout, folds = kiln_setup
+    space = cand.build_space(schema)
+    sampled = sample_models(space, unitary, PlannerConfig(), budget=4, rng_seed=3,
+                            include_reference=True, reference=model)
+    first = sampled.models[0]
+    doubled = SampledModelSet(sampled.models + (replace(first, model_id="m9999"),))
+    scores, _ = score_models(folds, traces, doubled, layout)
+    alone = [score_models(folds, traces, SampledModelSet((m,)), layout)[0][0]
+             for m in doubled.models]
+    assert scores == alone
+    assert (scores[-1].fold_correct, scores[-1].fold_total) == (
+        scores[0].fold_correct, scores[0].fold_total)
+
+
 def assert_no_child_process():
     # Every process a pool started has exited and been reaped.
     with pytest.raises(ChildProcessError):
