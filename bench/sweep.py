@@ -2,12 +2,11 @@
 only the sampler seed changes.
 
     PYTHONPATH=src python bench/sweep.py --label change --into SWEEP.json
-    PYTHONPATH=src python bench/sweep.py --domains gripper --seeds 1000 1004 --label quick --into OUT
 
 For each shipped domain the pinned traces are generated, pruned and
-trained into folds once, as the pipeline does it. Then, for every sampler
-seed in [first, stop), the models are sampled, scored and the selected
-one's reconstruction error E taken against the reference. A domain's
+trained into folds once, as the pipeline does it (prepare). Then, for
+every sampler seed in 1000..1039, the models are sampled, scored and the
+selected one's reconstruction error E taken against the reference. A domain's
 record holds the recovery count (seeds with E = 0) and, per seed, the
 selected id, E, the margin of the top mean accuracy over the runner-up,
 how many models tie at the top, and the sha256 of scores_json.
@@ -47,9 +46,10 @@ SHIPPED = ("gripper", "kiln", "battery")
 FIRST_SEED, STOP_SEED = 1000, 1040
 
 
-def sweep_domain(name: str, sample_seeds, **overrides) -> dict:
-    """The recovery record of one shipped domain over the sampler seeds;
-    overrides replace fields of its shipped PipelineConfig."""
+def prepare(name: str, **overrides):
+    """One shipped domain up to its trained folds, wired as run_pipeline
+    wires it; overrides replace fields of its shipped PipelineConfig.
+    Returns (config, domain, planner, pruned, traces, layout, folds)."""
     config = replace(shipped_config(name), **overrides)
     domain = load_domain(config.domain)
     schedule = config.schedule or doubling_schedule(config.trace_count)
@@ -58,7 +58,6 @@ def sweep_domain(name: str, sample_seeds, **overrides) -> dict:
                           catalog_size=config.catalog)
     planner = PlannerConfig(strategy=config.strategy, max_expansions=config.max_expansions,
                             rng_seed=config.seed)
-    start = time.perf_counter()
     traces = generate_traces(spec, domain.reference, planner, domain.sampler)
     db = SequenceDatabase.from_traces(traces)
     scan = stability_scan([db.prefix(p) for p in schedule], config.min_support,
@@ -70,6 +69,14 @@ def sweep_domain(name: str, sample_seeds, **overrides) -> dict:
         hidden_units=config.hidden_units, dropout_rate=config.dropout, epochs=config.epochs,
         folds=config.folds, learning_rate=config.learning_rate, init_gain=config.init_gain,
         rng_seed=config.seed))
+    return config, domain, planner, pruned, traces, layout, folds
+
+
+def sweep_domain(name: str, sample_seeds, **overrides) -> dict:
+    """The recovery record of one shipped domain over the sampler seeds;
+    overrides go to prepare."""
+    start = time.perf_counter()
+    config, domain, planner, pruned, traces, layout, folds = prepare(name, **overrides)
     trained = time.perf_counter()
     seeds = []
     for sample_seed in sample_seeds:
@@ -124,17 +131,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="name of this run in the output file")
     parser.add_argument("--into", type=Path, required=True, help="JSON file to add the run to")
-    parser.add_argument("--domains", nargs="+", choices=SHIPPED, default=list(SHIPPED))
-    parser.add_argument("--seeds", nargs=2, type=int, default=[FIRST_SEED, STOP_SEED],
-                        metavar=("FIRST", "STOP"), help="sampler seeds FIRST..STOP-1")
     args = parser.parse_args(argv)
-    seeds = range(*args.seeds)
+    seeds = range(FIRST_SEED, STOP_SEED)
     run = {
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "platform": platform.platform()},
         "domains": {},
     }
-    for name in args.domains:
+    for name in SHIPPED:
         record = sweep_domain(name, seeds)
         run["domains"][name] = record
         print(f"{args.label} {name}: {record['recovered']}/{record['of']} recovered "

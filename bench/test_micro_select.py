@@ -4,56 +4,30 @@
     PYTHONPATH=src python -m pytest bench --benchmark-disable   # run each once
 
 For every shipped config the traces, the pruned space and the sampled
-models are built as the pipeline builds them. The folds are trained for
-one epoch instead of the shipped count: a forward pass costs the same
-whatever the parameter values, so selection's work does not depend on
-how long the folds trained. One round is one score_models call.
+models are built as the pipeline builds them (sweep.prepare). The folds
+are trained for one epoch instead of the shipped count: a forward pass
+costs the same whatever the parameter values, so selection's work does
+not depend on how long the folds trained. One round is one score_models call.
 extra_info holds the number of models scored, of validation sequences
 encoded (models x traces) and of sequences that went through a forward
 pass, counted in one untimed call.
 """
 
-from dataclasses import replace
-
 import pytest
 
-from pdeeplearn import candidates as cand
 from pdeeplearn import scoring
-from pdeeplearn.domains import load_domain
-from pdeeplearn.encoding import build_layout
-from pdeeplearn.lstm import TrainConfig
-from pdeeplearn.mining import SequenceDatabase, frequent_pairs, stability_scan
-from pdeeplearn.pipeline import shipped_config
-from pdeeplearn.pruning import prune_candidates, sample_models
-from pdeeplearn.scoring import score_models, train_folds
-from pdeeplearn.tracegen import GenerationSpec, PlannerConfig, doubling_schedule, generate_traces
+from pdeeplearn.pruning import sample_models
+from pdeeplearn.scoring import score_models
+from sweep import prepare
 
 
 @pytest.fixture(scope="module", params=("gripper", "kiln", "battery"))
 def selection(request):
-    config = replace(shipped_config(request.param), epochs=1)
-    domain = load_domain(config.domain)
-    schedule = doubling_schedule(config.trace_count)
-    spec = GenerationSpec(problem_count=config.trace_count, object_count_ranges=domain.ranges,
-                          trace_targets=schedule, rng_seed=config.seed,
-                          catalog_size=config.catalog)
-    planner = PlannerConfig(strategy=config.strategy, max_expansions=config.max_expansions,
-                            rng_seed=config.seed)
-    traces = generate_traces(spec, domain.reference, planner, domain.sampler)
-    db = SequenceDatabase.from_traces(traces)
-    scan = stability_scan([db.prefix(p) for p in schedule], config.min_support,
-                          config.min_confidence, config.stability_tolerance)
-    space = cand.build_space(domain.schema, config.strict_del, config.max_relevant)
-    pruned = prune_candidates(space, frequent_pairs(scan)).space
+    config, domain, planner, pruned, traces, layout, folds = prepare(request.param, epochs=1)
     sampled = sample_models(pruned, domain.unitary, planner, config.budget,
                             rng_seed=config.effective_sample_seed,
                             include_reference=config.include_reference,
                             reference=domain.reference)
-    layout = build_layout(domain.schema)
-    folds = train_folds(traces, layout, TrainConfig(
-        hidden_units=config.hidden_units, dropout_rate=config.dropout, epochs=config.epochs,
-        folds=config.folds, learning_rate=config.learning_rate, init_gain=config.init_gain,
-        rng_seed=config.seed))
     return folds, traces, sampled, layout
 
 

@@ -33,8 +33,8 @@ def test_sweep_cli_adds_runs_to_one_file(tmp_path, monkeypatch):
         "seeds": [{"scores_sha256": str(s)} for s in seeds]})
     out = tmp_path / "sweep.json"
     for label in ("parent", "change"):
-        assert main(["--label", label, "--into", str(out), "--domains", "gripper",
-                     "--seeds", "5", "7"]) == 0
+        assert main(["--label", label, "--into", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert sorted(doc["runs"]) == ["change", "parent"]
-    assert doc["agreement"]["gripper"]["same_scores_digests"]
+    assert sorted(doc["runs"]["change"]["domains"]) == sorted(sweep.SHIPPED)
+    assert all(a["same_scores_digests"] for a in doc["agreement"].values())

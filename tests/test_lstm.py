@@ -272,9 +272,15 @@ def test_adam_step_matches_the_out_of_place_formula_bit_for_bit():
             v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
             root_c2 = np.sqrt(1.0 - cfg.beta2 ** t)
             step = cfg.learning_rate * root_c2 / (1.0 - cfg.beta1 ** t)
+            # The textbook form: the same update up to rounding.
+            m_hat = m[name] / (1.0 - cfg.beta1 ** t)
+            v_hat = v[name] / (1.0 - cfg.beta2 ** t)
+            textbook = expected[name] - cfg.learning_rate * m_hat / (
+                np.sqrt(v_hat) + cfg.epsilon)
             expected[name] = expected[name] - step * (m[name] / (
                 np.sqrt(v[name]) + cfg.epsilon * root_c2))
             assert np.array_equal(getattr(params, name), expected[name])
+            assert np.allclose(expected[name], textbook, rtol=1e-12, atol=0)
 
 
 def test_adam_step_rejects_parameters_outside_one_buffer():
@@ -461,4 +467,14 @@ def test_non_finite_head_weights_raise_at_step_0():
     params = init_parameters(d, h, n, rng)
     params.w_out[1, 2] = np.inf
     with pytest.raises(NumericError, match="^non-finite activation at step 0$"):
+        lstm_forward(params, seq)
+
+
+def test_a_non_finite_input_row_raises_at_its_step():
+    rng = stream_rng(13, "non-finite-input")
+    d, h, n = 5, 3, 3
+    seq = random_sequence(rng, 5, d, n, 5)
+    params = init_parameters(d, h, n, rng)
+    seq.inputs[2, 0] = np.nan
+    with pytest.raises(NumericError, match="^non-finite activation at step 2$"):
         lstm_forward(params, seq)
