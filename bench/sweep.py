@@ -4,15 +4,16 @@ only the sampler seed changes.
     PYTHONPATH=src python bench/sweep.py --label change --into SWEEP.json
 
 For each shipped domain the pinned traces are generated, pruned and
-trained into folds once, as the pipeline does it (prepare). Then, for
-every sampler seed in 1000..1039, the models are sampled, scored and the
-selected one's reconstruction error E taken against the reference. A domain's
-record holds the recovery count (seeds with E = 0) and, per seed, the
-selected id, E, the margin of the top mean accuracy over the runner-up,
-how many models tie at the top, and the sha256 of scores_json.
+trained into folds once (prepare), through the phase functions that
+run_pipeline calls, so every config key acts here as it does there. Then,
+for every sampler seed in 1000..1039, the models are sampled, scored and
+the selected one's reconstruction error E taken against the reference. A
+domain's record holds the recovery count (seeds with E = 0) and, per seed,
+the selected id, E, the margin of the top mean accuracy over the
+runner-up, how many models tie at the top, and the sha256 of scores_json.
 
 Only public pdeeplearn functions are called, so the same file measures
-any checkout whose src/ is on PYTHONPATH. --into adds the run under
+any checkout that has pipeline.load and whose src/ is on PYTHONPATH. --into adds the run under
 --label to a JSON file (replacing a run of that label); once the file
 holds two or more runs, its "agreement" block says, per domain, whether
 they recover equally often and score every seed to the same bytes.
@@ -32,57 +33,41 @@ from pathlib import Path
 import numpy as np
 
 from pdeeplearn import candidates as cand
-from pdeeplearn.domains import load_domain
+from pdeeplearn import pipeline
 from pdeeplearn.encoding import build_layout
 from pdeeplearn.evaluate import reconstruction_error
-from pdeeplearn.lstm import TrainConfig
-from pdeeplearn.mining import SequenceDatabase, frequent_pairs, stability_scan
-from pdeeplearn.pipeline import shipped_config
-from pdeeplearn.pruning import prune_candidates, sample_models
+from pdeeplearn.mining import frequent_pairs
+from pdeeplearn.pruning import prune_candidates
 from pdeeplearn.scoring import ranked, score_models, scores_json, train_folds
-from pdeeplearn.tracegen import GenerationSpec, PlannerConfig, doubling_schedule, generate_traces
 
 SHIPPED = ("gripper", "kiln", "battery")
 FIRST_SEED, STOP_SEED = 1000, 1040
 
 
 def prepare(name: str, **overrides):
-    """One shipped domain up to its trained folds, wired as run_pipeline
-    wires it; overrides replace fields of its shipped PipelineConfig.
-    Returns (config, domain, planner, pruned, traces, layout, folds)."""
-    config = replace(shipped_config(name), **overrides)
-    domain = load_domain(config.domain)
-    schedule = config.schedule or doubling_schedule(config.trace_count)
-    spec = GenerationSpec(problem_count=config.trace_count, object_count_ranges=domain.ranges,
-                          trace_targets=tuple(schedule), rng_seed=config.seed,
-                          catalog_size=config.catalog)
-    planner = PlannerConfig(strategy=config.strategy, max_expansions=config.max_expansions,
-                            rng_seed=config.seed)
-    traces = generate_traces(spec, domain.reference, planner, domain.sampler)
-    db = SequenceDatabase.from_traces(traces)
-    scan = stability_scan([db.prefix(p) for p in schedule], config.min_support,
-                          config.min_confidence, config.stability_tolerance)
+    """One shipped domain up to its trained folds, as run_pipeline runs it;
+    overrides replace fields of its shipped PipelineConfig.
+    Returns (config, domain, pruned, traces, layout, folds)."""
+    config = replace(pipeline.shipped_config(name), **overrides)
+    domain = pipeline.load(config)
+    traces = pipeline.generate(config, domain)
     space = cand.build_space(domain.schema, config.strict_del, config.max_relevant)
-    pruned = prune_candidates(space, frequent_pairs(scan)).space
+    if not config.skip_mining:
+        space = prune_candidates(space, frequent_pairs(pipeline.mine(config, traces))).space
     layout = build_layout(domain.schema)
-    folds = train_folds(traces, layout, TrainConfig(
-        hidden_units=config.hidden_units, dropout_rate=config.dropout, epochs=config.epochs,
-        folds=config.folds, learning_rate=config.learning_rate, init_gain=config.init_gain,
-        rng_seed=config.seed))
-    return config, domain, planner, pruned, traces, layout, folds
+    folds = train_folds(traces, layout, config.training())
+    return config, domain, space, traces, layout, folds
 
 
 def sweep_domain(name: str, sample_seeds, **overrides) -> dict:
     """The recovery record of one shipped domain over the sampler seeds;
     overrides go to prepare."""
     start = time.perf_counter()
-    config, domain, planner, pruned, traces, layout, folds = prepare(name, **overrides)
+    config, domain, pruned, traces, layout, folds = prepare(name, **overrides)
     trained = time.perf_counter()
     seeds = []
     for sample_seed in sample_seeds:
-        sampled = sample_models(pruned, domain.unitary, planner, config.budget,
-                                rng_seed=sample_seed, include_reference=config.include_reference,
-                                reference=domain.reference)
+        sampled = pipeline.sample(replace(config, sample_seed=sample_seed), domain, pruned)
         scores, selected = score_models(folds, traces, sampled, layout)
         error, _ = reconstruction_error(sampled.by_id(selected).model, domain.reference, layout)
         order = ranked(scores)

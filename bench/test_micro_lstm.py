@@ -20,8 +20,7 @@ from typing import Callable
 
 import pytest
 
-from pdeeplearn.domains import load_domain
-from pdeeplearn.encoding import EncodedSequence, build_layout, encode_corpus, max_action_count
+from pdeeplearn.encoding import EncodedSequence, build_layout, encode_corpus
 from pdeeplearn.lstm import (
     AdamState,
     LstmParameters,
@@ -33,9 +32,8 @@ from pdeeplearn.lstm import (
     train,
     zero_like,
 )
-from pdeeplearn.pipeline import shipped_config
+from pdeeplearn.pipeline import generate, load, shipped_config
 from pdeeplearn.scoring import fold_split
-from pdeeplearn.tracegen import GenerationSpec, PlannerConfig, doubling_schedule, generate_traces
 from pdeeplearn.util import stream_rng
 
 
@@ -49,20 +47,12 @@ class Fold0:
 @pytest.fixture(scope="module", params=("gripper", "kiln", "battery"))
 def fold0(request) -> Fold0:
     config = shipped_config(request.param)
-    domain = load_domain(config.domain)
-    spec = GenerationSpec(problem_count=config.trace_count, object_count_ranges=domain.ranges,
-                          trace_targets=doubling_schedule(config.trace_count),
-                          rng_seed=config.seed, catalog_size=config.catalog)
-    planner = PlannerConfig(strategy=config.strategy, max_expansions=config.max_expansions,
-                            rng_seed=config.seed)
-    traces = generate_traces(spec, domain.reference, planner, domain.sampler)
+    domain = load(config)
+    traces = generate(config, domain)
     held_out = set(fold_split(len(traces), config.folds)[0])
-    dataset = encode_corpus([t for i, t in enumerate(traces) if i not in held_out],
-                            build_layout(domain.schema), pad_len=max_action_count(traces))
-    cfg = TrainConfig(hidden_units=config.hidden_units, dropout_rate=config.dropout,
-                      epochs=config.epochs, folds=config.folds,
-                      learning_rate=config.learning_rate, init_gain=config.init_gain,
-                      rng_seed=config.seed)
+    encoded = encode_corpus(traces, build_layout(domain.schema))
+    dataset = [seq for i, seq in enumerate(encoded) if i not in held_out]
+    cfg = config.training()
     # The shipped configs train without dropout, so no masks are drawn.
     assert cfg.dropout_rate == 0.0
 

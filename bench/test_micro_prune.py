@@ -13,27 +13,16 @@ pairings the call decides.
 import pytest
 
 from pdeeplearn import candidates as cand
-from pdeeplearn.domains import load_domain
-from pdeeplearn.mining import SequenceDatabase, frequent_pairs, stability_scan
-from pdeeplearn.pipeline import shipped_config
+from pdeeplearn.mining import frequent_pairs
+from pdeeplearn.pipeline import generate, load, mine, shipped_config
 from pdeeplearn.pruning import prune_candidates
-from pdeeplearn.tracegen import GenerationSpec, PlannerConfig, doubling_schedule, generate_traces
 
 
 @pytest.fixture(scope="module", params=("gripper", "kiln", "battery"))
 def pinned(request):
     config = shipped_config(request.param)
-    domain = load_domain(config.domain)
-    schedule = doubling_schedule(config.trace_count)
-    spec = GenerationSpec(problem_count=config.trace_count, object_count_ranges=domain.ranges,
-                          trace_targets=schedule, rng_seed=config.seed,
-                          catalog_size=config.catalog)
-    planner = PlannerConfig(strategy=config.strategy, max_expansions=config.max_expansions,
-                            rng_seed=config.seed)
-    db = SequenceDatabase.from_traces(
-        generate_traces(spec, domain.reference, planner, domain.sampler))
-    stability = stability_scan([db.prefix(p) for p in schedule], config.min_support,
-                               config.min_confidence, config.stability_tolerance)
+    domain = load(config)
+    stability = mine(config, generate(config, domain))
     space = cand.build_space(domain.schema, config.strict_del, config.max_relevant)
     return space, frequent_pairs(stability)
 

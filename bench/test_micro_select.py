@@ -16,19 +16,15 @@ pass, counted in one untimed call.
 import pytest
 
 from pdeeplearn import scoring
-from pdeeplearn.pruning import sample_models
+from pdeeplearn.pipeline import sample
 from pdeeplearn.scoring import score_models
 from sweep import prepare
 
 
 @pytest.fixture(scope="module", params=("gripper", "kiln", "battery"))
 def selection(request):
-    config, domain, planner, pruned, traces, layout, folds = prepare(request.param, epochs=1)
-    sampled = sample_models(pruned, domain.unitary, planner, config.budget,
-                            rng_seed=config.effective_sample_seed,
-                            include_reference=config.include_reference,
-                            reference=domain.reference)
-    return folds, traces, sampled, layout
+    config, domain, pruned, traces, layout, folds = prepare(request.param, epochs=1)
+    return folds, traces, sample(config, domain, pruned), layout
 
 
 def test_score_models(benchmark, selection, monkeypatch):

@@ -1,12 +1,14 @@
 """Smoke case of the recovery sweep (bench/sweep.py): gripper, 20 traces,
-one epoch, two folds, two sampler seeds.
+one epoch, two folds, two sampler seeds; and checks that prepare follows
+the config keys that run_pipeline follows.
 
     PYTHONPATH=src python -m pytest bench/test_sweep.py
 """
 
 import json
 
-from sweep import agreement, main, sweep_domain
+from pdeeplearn import candidates as cand
+from sweep import agreement, main, prepare, sweep_domain
 
 
 def test_sweep_smoke():
@@ -38,3 +40,13 @@ def test_sweep_cli_adds_runs_to_one_file(tmp_path, monkeypatch):
     assert sorted(doc["runs"]) == ["change", "parent"]
     assert sorted(doc["runs"]["change"]["domains"]) == sorted(sweep.SHIPPED)
     assert all(a["same_scores_digests"] for a in doc["agreement"].values())
+
+
+def test_prepare_follows_object_ranges_and_skip_mining():
+    small = dict(trace_count=10, epochs=1, folds=2, hidden_units=4)
+    _, _, pruned, traces, _, _ = prepare("gripper", object_ranges=(("ball", 1, 1),), **small)
+    assert [sum(kind == "ball" for _, kind in t.objects) for t in traces] == [1] * 10
+    config, domain, space, _, _, _ = prepare("gripper", skip_mining=True, **small)
+    full = cand.build_space(domain.schema, config.strict_del, config.max_relevant)
+    assert cand.write_candidates(space) == cand.write_candidates(full)
+    assert cand.space_size(pruned) < cand.space_size(full)

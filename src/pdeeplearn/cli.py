@@ -15,28 +15,23 @@ from pathlib import Path
 from . import candidates as cand
 from .domains import LoadedDomain, load_domain
 from .encoding import build_layout
-from .lstm import TrainConfig, save_params
-from .mining import (
-    SequenceDatabase,
-    frequent_pairs,
-    render_rules_text,
-    rules_report_json,
-    stability_scan,
-)
+from .mining import frequent_pairs, render_rules_text, rules_report_json
 from .pddl import parse_traces, serialize_traces, trace_domain
-from .pipeline import PhaseError, parse_config, run_pipeline
-from .pruning import manifest_json, manifest_load, prune_candidates, sample_models
+from .pipeline import (PhaseError, PipelineConfig, generate, load, mine, parse_config,
+                       run_pipeline, sample, save_folds)
+from .pruning import manifest_json, manifest_load, prune_candidates
 from .scoring import score_models, scores_json, train_folds
-from .tracegen import (
-    GenerationSpec,
-    PlannerConfig,
-    doubling_schedule,
-    generate_traces,
-)
 
 
 class CliError(RuntimeError):
     """A usage problem reported as a one-line error with exit code 1."""
+
+
+def _load(config: PipelineConfig) -> LoadedDomain:
+    domain = load(config)
+    if domain.unitary is None:
+        raise CliError("unregistered domains need --unitary")
+    return domain
 
 
 def _domain_and_traces(args) -> tuple[LoadedDomain, list]:
@@ -48,19 +43,11 @@ def _domain_and_traces(args) -> tuple[LoadedDomain, list]:
 
 
 def _cmd_generate(args) -> int:
-    domain = load_domain(args.domain, args.unitary)
-    if domain.sampler is None:
-        raise CliError("unregistered domains need --unitary")
-    spec = GenerationSpec(
-        problem_count=args.count,
-        object_count_ranges=domain.ranges,
-        trace_targets=doubling_schedule(args.count),
-        rng_seed=args.seed,
-        catalog_size=args.catalog,
-    )
-    cfg = PlannerConfig(strategy=args.strategy, max_expansions=args.max_expansions,
-                        rng_seed=args.seed)
-    traces = generate_traces(spec, domain.reference, cfg, domain.sampler)
+    config = PipelineConfig(domain=args.domain, unitary=args.unitary, trace_count=args.count,
+                            catalog=args.catalog, seed=args.seed, strategy=args.strategy,
+                            max_expansions=args.max_expansions)
+    domain = _load(config)
+    traces = generate(config, domain)
     Path(args.out).write_text(serialize_traces(traces, domain.schema.name))
     print(f"wrote {len(traces)} traces to {args.out}")
     return 0
@@ -78,12 +65,11 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_mine(args) -> int:
     _, traces = _domain_and_traces(args)
-    db = SequenceDatabase.from_traces(traces)
-    schedule = (tuple(int(s) for s in args.schedule.split(","))
-                if args.schedule else doubling_schedule(len(db)))
-    databases = [db.prefix(point) for point in schedule]
-    report = stability_scan(databases, args.min_support, args.min_confidence,
-                            args.tolerance)
+    schedule = tuple(int(s) for s in args.schedule.split(",")) if args.schedule else ()
+    config = PipelineConfig(trace_count=len(traces), schedule=schedule,
+                            min_support=args.min_support, min_confidence=args.min_confidence,
+                            stability_tolerance=args.tolerance)
+    report = mine(config, traces)
     text = render_rules_text(report)
     Path(args.out).write_text(rules_report_json(report))
     if args.out_text:
@@ -110,42 +96,30 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    domain = load_domain(args.domain, args.unitary)
-    if domain.unitary is None:
-        raise CliError("unregistered domains need --unitary")
+    config = PipelineConfig(domain=args.domain, unitary=args.unitary, budget=args.budget,
+                            seed=args.seed, include_reference=args.include_reference,
+                            strategy=args.strategy, max_expansions=args.max_expansions)
+    domain = _load(config)
     space = cand.read_candidates(Path(args.candidates).read_text(), domain.schema)
-    cfg = PlannerConfig(strategy=args.strategy, max_expansions=args.max_expansions,
-                        rng_seed=args.seed)
-    sampled = sample_models(space, domain.unitary, cfg, args.budget, rng_seed=args.seed,
-                            include_reference=args.include_reference,
-                            reference=domain.reference)
+    sampled = sample(config, domain, space)
     Path(args.out).write_text(manifest_json(sampled, space))
     print(f"sampled {len(sampled)} viable models to {args.out}")
     return 0
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        hidden_units=args.hidden,
-        dropout_rate=args.dropout,
-        epochs=args.epochs,
-        folds=args.folds,
-        learning_rate=args.lr,
-        init_gain=args.init_gain,
-        rng_seed=args.seed,
-    )
+def _train_config(args) -> PipelineConfig:
+    return PipelineConfig(hidden_units=args.hidden, dropout=args.dropout, epochs=args.epochs,
+                          folds=args.folds, learning_rate=args.lr, init_gain=args.init_gain,
+                          seed=args.seed)
 
 
 def _cmd_train(args) -> int:
     domain, traces = _domain_and_traces(args)
+    config = _train_config(args)
     layout = build_layout(domain.schema)
-    folds = train_folds(traces, layout, _train_config(args))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    folds = train_folds(traces, layout, config.training())
+    save_folds(config, layout, folds, Path(args.out_dir))
     for fold in folds:
-        save_params(out_dir / f"params-fold{fold.fold_index}.bin", fold.params,
-                    layout_hash=layout.layout_hash(),
-                    extra={"fold": fold.fold_index, "seed": args.seed})
         print(f"fold {fold.fold_index}: loss {fold.loss_history[0]:.4f} -> "
               f"{fold.loss_history[-1]:.4f}")
     return 0
@@ -155,7 +129,7 @@ def _cmd_select(args) -> int:
     domain, traces = _domain_and_traces(args)
     layout = build_layout(domain.schema)
     sampled = manifest_load(Path(args.models).read_text(), domain.schema)
-    folds = train_folds(traces, layout, _train_config(args))
+    folds = train_folds(traces, layout, _train_config(args).training())
     scores, selected = score_models(folds, traces, sampled, layout)
     Path(args.out).write_text(scores_json(scores, selected))
     best = next(s for s in scores if s.model_id == selected)
@@ -245,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--folds", type=int, default=5)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--lr", type=float, default=1e-3)
-        p.add_argument("--init-gain", type=float, default=TrainConfig.init_gain)
+        p.add_argument("--init-gain", type=float, default=PipelineConfig.init_gain)
         if name == "train":
             p.add_argument("--out-dir", required=True)
             p.set_defaults(func=_cmd_train)

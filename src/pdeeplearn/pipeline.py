@@ -5,6 +5,10 @@ All artifacts land in a run directory named by the config hash and seed.
 Reports and serialized parameters are byte-identical across reruns of the
 same config; wall-clock timings go to a separate timings.json sidecar so
 they never perturb the deterministic outputs.
+
+It is also the one place that turns a PipelineConfig into a phase's
+inputs (load, generate, mine, sample, save_folds and the config's
+trace_schedule, planner() and training()); the CLI subcommands call the same.
 """
 
 from __future__ import annotations
@@ -13,13 +17,14 @@ import hashlib
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import candidates as cand
-from .domains import load_domain
-from .encoding import build_layout
+from .core import PlanTrace
+from .domains import LoadedDomain, load_domain
+from .encoding import EncodingLayout, build_layout
 from .evaluate import (
     EvaluationReport,
     reconstruction_error,
@@ -29,14 +34,15 @@ from .evaluate import (
 from .lstm import TrainConfig, save_params
 from .mining import (
     SequenceDatabase,
+    StabilityReport,
     frequent_pairs,
     render_rules_text,
     rules_report_json,
     stability_scan,
 )
 from .pddl import serialize_traces
-from .pruning import manifest_json, prune_candidates, sample_models
-from .scoring import score_models, scores_json, train_folds
+from .pruning import SampledModelSet, manifest_json, prune_candidates, sample_models
+from .scoring import TrainedFold, score_models, scores_json, train_folds
 from .tracegen import (
     GenerationSpec,
     PlannerConfig,
@@ -97,6 +103,21 @@ class PipelineConfig:
     @property
     def effective_sample_seed(self) -> int:
         return self.seed if self.sample_seed < 0 else self.sample_seed
+
+    @property
+    def trace_schedule(self) -> tuple[int, ...]:
+        """The trace counts the stability scan mines at."""
+        return self.schedule or doubling_schedule(self.trace_count)
+
+    def planner(self) -> PlannerConfig:
+        return PlannerConfig(strategy=self.strategy, max_expansions=self.max_expansions,
+                             rng_seed=self.seed)
+
+    def training(self) -> TrainConfig:
+        return TrainConfig(hidden_units=self.hidden_units, dropout_rate=self.dropout,
+                           epochs=self.epochs, folds=self.folds,
+                           learning_rate=self.learning_rate, init_gain=self.init_gain,
+                           rng_seed=self.seed)
 
     def canonical_text(self) -> str:
         lines = []
@@ -193,6 +214,44 @@ def shipped_config(domain: str) -> PipelineConfig:
     )
 
 
+def load(config: PipelineConfig) -> LoadedDomain:
+    """The config's domain, with its object_ranges over the default ranges."""
+    domain = load_domain(config.domain, config.unitary)
+    ranges = {name: (lo, hi) for name, lo, hi in config.object_ranges}
+    return replace(domain, ranges={**domain.ranges, **ranges})
+
+
+def generate(config: PipelineConfig, domain: LoadedDomain) -> list[PlanTrace]:
+    spec = GenerationSpec(problem_count=config.trace_count, object_count_ranges=domain.ranges,
+                          trace_targets=config.trace_schedule, rng_seed=config.seed,
+                          catalog_size=config.catalog)
+    return generate_traces(spec, domain.reference, config.planner(), domain.sampler)
+
+
+def mine(config: PipelineConfig, traces: Sequence[PlanTrace]) -> StabilityReport:
+    db = SequenceDatabase.from_traces(traces)
+    return stability_scan([db.prefix(point) for point in config.trace_schedule],
+                          config.min_support, config.min_confidence,
+                          config.stability_tolerance)
+
+
+def sample(config: PipelineConfig, domain: LoadedDomain, space) -> SampledModelSet:
+    return sample_models(space, domain.unitary, config.planner(), config.budget,
+                         rng_seed=config.effective_sample_seed,
+                         include_reference=config.include_reference,
+                         reference=domain.reference)
+
+
+def save_folds(config: PipelineConfig, layout: EncodingLayout,
+               folds: Sequence[TrainedFold], out_dir: Path) -> None:
+    """One params-fold<k>.bin per fold; the header names the layout, fold and seed."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for fold in folds:
+        save_params(out_dir / f"params-fold{fold.fold_index}.bin", fold.params,
+                    layout_hash=layout.layout_hash(),
+                    extra={"fold": fold.fold_index, "seed": config.seed})
+
+
 def run_pipeline(config: PipelineConfig, out_root: Path) -> PipelineRun:
     run_dir = Path(out_root) / f"{config.config_hash()}-s{config.seed}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -213,30 +272,16 @@ def run_pipeline(config: PipelineConfig, out_root: Path) -> PipelineRun:
             run.timings[name] = time.perf_counter() - start
 
     with phase("config"):
-        domain = load_domain(config.domain, config.unitary)
+        domain = load(config)
         if domain.unitary is None:
             raise ValueError("unregistered domains need a 'unitary' problem path")
-        schema, reference, unitary = domain.schema, domain.reference, domain.unitary
-        ranges = dict(domain.ranges)
-        ranges.update((name, (lo, hi)) for name, lo, hi in config.object_ranges)
-        schedule = config.schedule or doubling_schedule(config.trace_count)
+        schema, reference = domain.schema, domain.reference
+        schedule = config.trace_schedule
         if max(schedule) > config.trace_count:
             raise ValueError("schedule exceeds trace_count")
 
     with phase("generate"):
-        gen_spec = GenerationSpec(
-            problem_count=config.trace_count,
-            object_count_ranges=ranges,
-            trace_targets=tuple(schedule),
-            rng_seed=config.seed,
-            catalog_size=config.catalog,
-        )
-        planner_cfg = PlannerConfig(
-            strategy=config.strategy,
-            max_expansions=config.max_expansions,
-            rng_seed=config.seed,
-        )
-        traces = generate_traces(gen_spec, reference, planner_cfg, domain.sampler)
+        traces = generate(config, domain)
         (run_dir / "traces.traces").write_text(serialize_traces(traces, schema.name))
 
     with phase("enumerate"):
@@ -247,11 +292,7 @@ def run_pipeline(config: PipelineConfig, out_root: Path) -> PipelineRun:
     pairs: tuple[tuple[str, str], ...] = ()
     if not config.skip_mining:
         with phase("mine"):
-            db = SequenceDatabase.from_traces(traces)
-            databases = [db.prefix(point) for point in schedule]
-            stability = stability_scan(
-                databases, config.min_support, config.min_confidence,
-                config.stability_tolerance)
+            stability = mine(config, traces)
             pairs = frequent_pairs(stability)
             (run_dir / "rules.txt").write_text(render_rules_text(stability))
             (run_dir / "rules.json").write_text(rules_report_json(stability))
@@ -266,33 +307,13 @@ def run_pipeline(config: PipelineConfig, out_root: Path) -> PipelineRun:
         prune_stats = None
 
     with phase("sample"):
-        sampled = sample_models(
-            reduced, unitary, planner_cfg, config.budget,
-            rng_seed=config.effective_sample_seed,
-            include_reference=config.include_reference,
-            reference=reference,
-        )
+        sampled = sample(config, domain, reduced)
         (run_dir / "models.json").write_text(manifest_json(sampled, reduced))
 
     with phase("train"):
         layout = build_layout(schema)
-        train_cfg = TrainConfig(
-            hidden_units=config.hidden_units,
-            dropout_rate=config.dropout,
-            epochs=config.epochs,
-            folds=config.folds,
-            learning_rate=config.learning_rate,
-            init_gain=config.init_gain,
-            rng_seed=config.seed,
-        )
-        folds = train_folds(traces, layout, train_cfg)
-        for fold in folds:
-            save_params(
-                run_dir / f"params-fold{fold.fold_index}.bin",
-                fold.params,
-                layout_hash=layout.layout_hash(),
-                extra={"fold": fold.fold_index, "seed": config.seed},
-            )
+        folds = train_folds(traces, layout, config.training())
+        save_folds(config, layout, folds, run_dir)
         (run_dir / "losses.json").write_text(json.dumps(
             {f"fold{f.fold_index}": list(f.loss_history) for f in folds},
             indent=2, sort_keys=True) + "\n")

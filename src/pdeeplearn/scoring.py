@@ -49,18 +49,17 @@ def train_folds(
 ) -> list[TrainedFold]:
     """One trained network per fold, all sharing the corpus padding.
 
-    The training splits are encoded here; the folds then train in
-    min(folds, usable CPUs) forked worker processes, or in this process
-    when that is one. Fold k is seeded only by ("fold", k), so the results
-    are byte-identical to training the folds one after another. The pool
-    lives only inside this call: its workers have exited and been joined
-    before it returns or raises.
+    The corpus is encoded once here and each training split indexes it.
+    The folds then train in min(folds, usable CPUs) forked worker
+    processes, or in this process when that is one. Fold k is seeded only
+    by ("fold", k), so the results are byte-identical to training the
+    folds one after another. The pool lives only inside this call: its
+    workers have exited and been joined before it returns or raises.
     """
-    pad_len = max_action_count(traces)
+    encoded = encode_corpus(traces, layout)
     folds = fold_split(len(traces), cfg.folds)
     splits = [sorted(set(range(len(traces))) - set(validation)) for validation in folds]
-    datasets = [encode_corpus([traces[i] for i in train_idx], layout, pad_len=pad_len)
-                for train_idx in splits]
+    datasets = [[encoded[i] for i in train_idx] for train_idx in splits]
     workers = min(len(folds), len(os.sched_getaffinity(0)))
     if workers == 1:
         results = list(map(_train_fold, datasets, repeat(cfg), range(len(folds))))

@@ -304,3 +304,37 @@ def test_config_value_types_follow_the_field_defaults():
         parse_config("skip_mining = 2")
     with pytest.raises(ValueError):
         parse_config("budget = 1.5")
+
+
+def test_the_subcommand_chain_writes_what_the_pipeline_writes(tmp_path):
+    from dataclasses import replace
+
+    from pdeeplearn.pipeline import run_pipeline, shipped_config
+
+    config = replace(shipped_config("kiln"), trace_count=40, folds=2, epochs=1, hidden_units=4)
+    run_dir = run_pipeline(config, tmp_path / "runs").run_dir
+    chain = tmp_path / "chain"
+    chain.mkdir()
+    files = {name: str(chain / name) for name in (
+        "traces.traces", "candidates.sexp", "rules.json", "rules.txt", "pruned.sexp",
+        "models.json", "scores.json")}
+    training = ["--traces", files["traces.traces"], "--hidden", "4", "--dropout", "0",
+                "--epochs", "1", "--folds", "2", "--lr", "0.001", "--init-gain", "3",
+                "--seed", "42"]
+    for argv in (
+        ["generate", "--domain", "kiln", "--count", "40", "--seed", "42", "--catalog", "31",
+         "--out", files["traces.traces"]],
+        ["enumerate", "--domain", "kiln", "--out", files["candidates.sexp"]],
+        ["mine", "--traces", files["traces.traces"], "--min-support", "0.2",
+         "--min-confidence", "0.4", "--tolerance", "0.4", "--out", files["rules.json"],
+         "--out-text", files["rules.txt"]],
+        ["prune", "--candidates", files["candidates.sexp"], "--rules", files["rules.json"],
+         "--domain", "kiln", "--out", files["pruned.sexp"]],
+        ["sample", "--candidates", files["pruned.sexp"], "--domain", "kiln", "--budget", "20",
+         "--seed", "1000", "--include-reference", "--out", files["models.json"]],
+        ["train", *training, "--out-dir", str(chain)],
+        ["select", *training, "--models", files["models.json"], "--out", files["scores.json"]],
+    ):
+        assert main(argv) == 0, argv
+    for name in [*files, "params-fold0.bin", "params-fold1.bin"]:
+        assert (chain / name).read_bytes() == (run_dir / name).read_bytes(), name

@@ -438,10 +438,10 @@ def test_sigmoid_matches_the_two_branch_formula_bit_for_bit():
 
 def test_non_finite_gradients_still_stop_the_next_forward_pass():
     # A zeroed dropout mask keeps the logits finite while w_out @ dlogits
-    # overflows, so dh = inf * 0 = NaN and dz is NaN at every step. The
-    # skipped zero rows of dW then stay 0 where the full outer product
-    # wrote NaN, but db carries the NaN either way, so Adam puts NaN into b
-    # and the next forward raises NumericError on both paths.
+    # overflows, so dh = inf * 0 = NaN and dz is NaN at every step. Both
+    # paths then write NaN into all of dW (0 * NaN is NaN, so a zero entry
+    # of x_t does not shield its row) and into db, so Adam puts NaN into W
+    # and b and the next forward raises NumericError on both paths.
     rng = stream_rng(11, "non-finite")
     d, h, n = 5, 2, 3
     seq = random_sequence(rng, 4, d, n, 4)
