@@ -8,11 +8,12 @@ pipeline encodes it (same traces, padding and initial parameters), and
 one round is a pass over that split calling one function per sequence:
 loss_and_gradients into one reused gradient buffer as train calls it,
 adam_step, or lstm_forward. extra_info["sequences"] holds the split size;
-a round's time divided by it is the per-sequence time. test_train times
-the whole fold instead: one round is one train call, every epoch of it,
-as a fold worker runs it. The pipeline trains its folds in worker
-processes, where perfbench's tracer cannot see these calls, so they are
-timed here.
+a round's time divided by it is the per-sequence time. extra_info["steps"]
+holds the recurrence steps of one round: target steps for training, every
+real step for lstm_forward. test_train times the whole fold instead: one
+round is one train call, every epoch of it, as a fold worker runs it. The
+pipeline trains its folds in worker processes, where perfbench's tracer
+cannot see these calls, so they are timed here.
 """
 
 from dataclasses import dataclass
@@ -73,6 +74,7 @@ def test_loss_and_gradients(benchmark, fold0):
             loss_and_gradients(params, seq, out=grads)
 
     benchmark.extra_info["sequences"] = len(fold0.dataset)
+    benchmark.extra_info["steps"] = sum(seq.target_steps for seq in fold0.dataset)
     benchmark(one_pass)
 
 
@@ -97,10 +99,13 @@ def test_lstm_forward(benchmark, fold0):
             lstm_forward(params, seq)
 
     benchmark.extra_info["sequences"] = len(fold0.dataset)
+    benchmark.extra_info["steps"] = sum(seq.valid_steps for seq in fold0.dataset)
     benchmark(one_pass)
 
 
 def test_train(benchmark, fold0):
     benchmark.extra_info["sequences"] = len(fold0.dataset)
     benchmark.extra_info["epochs"] = fold0.cfg.epochs
+    benchmark.extra_info["steps"] = fold0.cfg.epochs * sum(seq.target_steps
+                                                          for seq in fold0.dataset)
     benchmark.pedantic(train, args=(fold0.dataset, fold0.cfg, ("fold", 0)), rounds=3)

@@ -120,25 +120,24 @@ class EncodedSequence:
         return self.valid_steps - 1
 
 
-def _encode(
-    trace: PlanTrace,
-    layout: EncodingLayout,
-    pad_len: Optional[int],
-    fill_block,
-) -> EncodedSequence:
-    count = trace.action_count
+def action_slots(trace: PlanTrace, layout: EncodingLayout) -> list[int]:
+    """The layout slot of each action of trace, in order."""
+    return [layout.action_slot(action) for action in trace.action_names()]
+
+
+def encode_rows(rows: np.ndarray, slots: Sequence[int], layout: EncodingLayout,
+                pad_len: Optional[int] = None) -> EncodedSequence:
+    """The real input rows of a trace whose actions sit at slots, padded
+    with zero rows to pad_len (to their own length by default); each
+    target row one-hots the next action's slot."""
+    count = len(slots)
     pad = count if pad_len is None else pad_len
     if pad < count:
         raise ValueError(f"pad length {pad} shorter than trace ({count} actions)")
     inputs = np.zeros((pad, layout.input_dim))
+    inputs[:count] = rows
     targets = np.zeros((pad, layout.output_dim))
-    transitions = list(trace.transitions())
-    for t, (before, ga, after) in enumerate(transitions):
-        inputs[t, layout.action_slot(ga.action)] = 1.0
-        offset = layout.block_offset(ga.action)
-        fill_block(inputs[t], offset, layout.block(ga.action), before, after, ga)
-        if t + 1 < count:
-            targets[t, layout.action_slot(transitions[t + 1][1].action)] = 1.0
+    targets[np.arange(count - 1), slots[1:]] = 1.0
     return EncodedSequence(inputs, targets, count)
 
 
@@ -148,51 +147,48 @@ def encode_training(
     """Observed encoding: slots for relevant refs that hold in the state
     before the action (potential preconditions) and for refs newly made
     true by it (potential effects)."""
-
-    def fill(row, offset, block, before, after, ga):
+    slots = action_slots(trace, layout)
+    rows = np.zeros((len(slots), layout.input_dim))
+    for t, (before, ga, after) in enumerate(trace.transitions()):
+        rows[t, slots[t]] = 1.0
+        offset = layout.block_offset(ga.action)
         introduced = after.atoms - before.atoms
-        for k, ref in enumerate(block):
+        for k, ref in enumerate(layout.block(ga.action)):
             atom = ref.ground(ga.args)
             if atom in before.atoms or atom in introduced:
-                row[offset + k] = 1.0
+                rows[t, offset + k] = 1.0
+    return encode_rows(rows, slots, layout, pad_len)
 
-    return _encode(trace, layout, pad_len, fill)
 
-
-def encode_validation(
-    trace: PlanTrace,
-    layout: EncodingLayout,
-    model: ActionModel,
-    pad_len: Optional[int] = None,
-) -> EncodedSequence:
-    """Model encoding: slots for every ref in the candidate's pre, add, or
-    del list for the current action (negation maps to the same slot)."""
-    listed = {}
-    for entry in model.entries:
-        listed[entry.action] = entry.refs()
-
-    def fill(row, offset, block, before, after, ga):
-        try:
-            refs = listed[ga.action]
-        except KeyError:
-            raise EncodingError(f"model has no entry for action {ga.action!r}") from None
+def validation_table(layout: EncodingLayout, model: ActionModel) -> np.ndarray:
+    """Model encoding as an (actions x input_dim) table. Row a holds action
+    a's slot and a slot for every ref in the candidate's pre, add, or del
+    list for that action (negation maps to the same slot). The states never
+    enter, so a trace's input rows are the table's rows at its slots."""
+    listed = {entry.action: entry.refs() for entry in model.entries}
+    table = np.zeros((layout.output_dim, layout.input_dim))
+    for a, (action, block) in enumerate(zip(layout.actions, layout.blocks)):
+        if action not in listed:
+            raise EncodingError(f"model has no entry for action {action!r}")
+        table[a, a] = 1.0
+        offset = layout.block_offset(action)
         for k, ref in enumerate(block):
-            if ref in refs:
-                row[offset + k] = 1.0
+            if ref in listed[action]:
+                table[a, offset + k] = 1.0
+    return table
 
-    return _encode(trace, layout, pad_len, fill)
+
+def encode_validation(trace: PlanTrace, layout: EncodingLayout, model: ActionModel,
+                      pad_len: Optional[int] = None) -> EncodedSequence:
+    """The trace's rows of validation_table(layout, model)."""
+    slots = action_slots(trace, layout)
+    return encode_rows(validation_table(layout, model)[slots], slots, layout, pad_len)
 
 
-def encode_corpus(
-    traces: Sequence[PlanTrace],
-    layout: EncodingLayout,
-    model: Optional[ActionModel] = None,
-    pad_len: Optional[int] = None,
-) -> list[EncodedSequence]:
-    """Encode every trace to a common padded length (computed over the
-    whole corpus unless given, so folds share shapes)."""
+def encode_corpus(traces: Sequence[PlanTrace], layout: EncodingLayout,
+                  pad_len: Optional[int] = None) -> list[EncodedSequence]:
+    """Observed encodings of every trace at a common padded length
+    (computed over the whole corpus unless given, so folds share shapes)."""
     if pad_len is None:
         pad_len = max_action_count(traces)
-    if model is None:
-        return [encode_training(t, layout, pad_len) for t in traces]
-    return [encode_validation(t, layout, model, pad_len) for t in traces]
+    return [encode_training(t, layout, pad_len) for t in traces]

@@ -3,7 +3,7 @@
 One recurrent layer (input, forget, output, and candidate gates packed
 into fused weight matrices) feeds a softmax head through inverted dropout
 during training. Training is plain backpropagation through time over the
-real steps of each sequence, one sequence per Adam update. Parameters,
+target steps of each sequence, one sequence per Adam update. Parameters,
 gradients and the Adam moments each sit in one contiguous float64 buffer,
 which the update rewrites in place; train reuses one gradient buffer.
 
@@ -19,14 +19,20 @@ corrections fold into the step lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
 eps_hat = eps * sqrt(1 - beta2^t), which saves two full-length divisions
 per update.
 
-Only the real rows [0, valid_steps) of a sequence enter any product, so
-padding stays bit-neutral. The gemms add the per-step terms in another
-order, so the gradients match a per-step computation (kept in the tests
-as an oracle) to within 1e-12 of their largest entry, not bit for bit.
+Training and accuracy run the recurrence over the target rows [0,
+target_steps) only: the final real step has no target and nothing after
+it, so its dz is exactly zero. A one-action sequence gets a zero gradient
+without a forward pass, and train still draws its masks and takes its
+Adam step. No row past valid_steps enters any product, so padding stays
+bit-neutral. The gemms add the per-step terms in another order, so the
+gradients match a per-step computation (kept in the tests as an oracle)
+to within 1e-12 of their largest entry, not bit for bit.
 Over the 15 folds of the shipped configs, the parameters differ from
 those of per-step BPTT with the unfolded Adam by at most 8.9e-15 (1.6e-14
 at seed shifts 1000 and 2000), the epoch losses by at most 2.2e-16, and
-every score and selection is the same.
+every score and selection is the same. Stopping before the final step
+(gemms over one row fewer) moved the parameters by at most 1.7e-15 and
+the epoch losses by at most 2.2e-16 (seed shifts 0 and 1000).
 """
 
 from __future__ import annotations
@@ -185,10 +191,12 @@ class _Cache:
 
 
 def _run_forward(params: LstmParameters, seq: EncodedSequence,
-                 masks: Optional[np.ndarray]) -> _Cache:
+                 masks: Optional[np.ndarray], steps: Optional[int] = None) -> _Cache:
+    """The forward pass over input rows [0, steps), all real rows by default."""
     h = params.hidden
-    steps = seq.valid_steps
+    steps = seq.valid_steps if steps is None else steps
     xs = seq.inputs[:steps]
+    masks = None if masks is None else masks[:steps]
     hs = np.zeros((steps + 1, h))
     cs = np.zeros((steps + 1, h))
     tanh_cs = np.empty((steps, h))
@@ -244,21 +252,22 @@ def loss_and_gradients(
     overwritten and returned, so that one buffer can serve every sequence
     of a training run. Without it the gradient is a fresh buffer.
     """
-    cache = _run_forward(params, seq, dropout_mask)
-    h = params.hidden
-    steps = seq.valid_steps
-    loss, target_steps = sequence_loss(cache.probs, seq)
     grads = zero_like(params) if out is None else out
+    steps = seq.target_steps
+    if steps == 0:
+        _flat(grads).fill(0.0)
+        return 0.0, 0, grads
+    cache = _run_forward(params, seq, dropout_mask, steps)
+    h = params.hidden
+    loss, _ = sequence_loss(cache.probs, seq)
     dW, dU, db, dw_out, db_out = grads.arrays().values()
-    # The softmax head for every target step at once. The final step has
-    # no target, so its dh starts at zero.
-    dlogits = cache.probs[:target_steps] - seq.targets[:target_steps]
-    np.matmul(cache.dropped[:target_steps].T, dlogits, out=dw_out)
+    # The softmax head for every step at once.
+    dlogits = cache.probs - seq.targets[:steps]
+    np.matmul(cache.dropped.T, dlogits, out=dw_out)
     np.sum(dlogits, axis=0, out=db_out)
-    dhs = np.zeros((steps, h))
-    np.matmul(dlogits, params.w_out.T, out=dhs[:target_steps])
+    dhs = dlogits @ params.w_out.T
     if cache.masks is not None:
-        dhs[:target_steps] *= cache.masks[:target_steps]
+        dhs *= cache.masks
     # The loop carries dc and dh back through the recurrence and keeps each
     # step's gate gradient dz_t for the weight gemms after it.
     dzs = np.empty((steps, 4 * h))
@@ -286,7 +295,7 @@ def loss_and_gradients(
     np.matmul(cache.xs.T, dzs, out=dW)
     np.sum(dzs, axis=0, out=db)
     np.matmul(cache.hs[1:steps].T, dzs[1:], out=dU)  # h_0 = 0 adds nothing
-    return loss, target_steps, grads
+    return loss, steps, grads
 
 
 @dataclass
@@ -385,8 +394,7 @@ def accuracy(params: LstmParameters, dataset: Sequence[EncodedSequence]) -> tupl
         steps = seq.target_steps
         if steps == 0:
             continue
-        probs = lstm_forward(params, seq)
-        predicted = probs[:steps].argmax(axis=1)
+        predicted = _run_forward(params, seq, None, steps).probs.argmax(axis=1)
         wanted = seq.targets[:steps].argmax(axis=1)
         correct += int((predicted == wanted).sum())
         total += steps

@@ -107,7 +107,10 @@ class PipelineConfig:
     @property
     def trace_schedule(self) -> tuple[int, ...]:
         """The trace counts the stability scan mines at."""
-        return self.schedule or doubling_schedule(self.trace_count)
+        schedule = self.schedule or doubling_schedule(self.trace_count)
+        if max(schedule) > self.trace_count:
+            raise ValueError("schedule exceeds trace_count")
+        return schedule
 
     def planner(self) -> PlannerConfig:
         return PlannerConfig(strategy=self.strategy, max_expansions=self.max_expansions,
@@ -277,8 +280,6 @@ def run_pipeline(config: PipelineConfig, out_root: Path) -> PipelineRun:
             raise ValueError("unregistered domains need a 'unitary' problem path")
         schema, reference = domain.schema, domain.reference
         schedule = config.trace_schedule
-        if max(schedule) > config.trace_count:
-            raise ValueError("schedule exceeds trace_count")
 
     with phase("generate"):
         traces = generate(config, domain)

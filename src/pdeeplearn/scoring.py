@@ -17,7 +17,8 @@ from itertools import repeat
 from typing import Sequence
 
 from .core import PlanTrace
-from .encoding import EncodingLayout, encode_corpus, max_action_count
+from .encoding import (EncodingLayout, action_slots, encode_corpus, encode_rows,
+                       validation_table)
 from .lstm import LstmParameters, TrainConfig, accuracy, train
 from .pruning import SampledModelSet
 
@@ -38,6 +39,13 @@ class TrainedFold:
     loss_history: tuple[float, ...]
 
 
+def _fold_workers(folds: int) -> int:
+    """One worker per fold when more than one CPU is usable, but at most 4
+    per CPU, so that hundreds of folds cannot fork hundreds of processes."""
+    cpus = len(os.sched_getaffinity(0))
+    return 1 if cpus == 1 else min(folds, 4 * cpus)
+
+
 def _train_fold(dataset, cfg: TrainConfig, k: int):
     # train is looked up here at call time, so a forked worker runs
     # whatever this module binds it to in the parent.
@@ -50,17 +58,19 @@ def train_folds(
     """One trained network per fold, all sharing the corpus padding.
 
     The corpus is encoded once here and each training split indexes it.
-    The folds then train in min(folds, usable CPUs) forked worker
-    processes, or in this process when that is one. Fold k is seeded only
-    by ("fold", k), so the results are byte-identical to training the
-    folds one after another. The pool lives only inside this call: its
-    workers have exited and been joined before it returns or raises.
+    The folds then train in _fold_workers(folds) forked processes, or in
+    this process when that is one: five equal folds end on two cores after
+    2.5 fold-times, where two workers would take three rounds. Fold k is
+    seeded only by ("fold", k), so the results are byte-identical to
+    training the folds one after another. The pool lives only inside this
+    call: its workers have exited and been joined before it returns or
+    raises.
     """
     encoded = encode_corpus(traces, layout)
     folds = fold_split(len(traces), cfg.folds)
     splits = [sorted(set(range(len(traces))) - set(validation)) for validation in folds]
     datasets = [[encoded[i] for i in train_idx] for train_idx in splits]
-    workers = min(len(folds), len(os.sched_getaffinity(0)))
+    workers = _fold_workers(len(folds))
     if workers == 1:
         results = list(map(_train_fold, datasets, repeat(cfg), range(len(folds))))
     else:
@@ -101,21 +111,23 @@ def score_models(
 ) -> tuple[list[ModelScore], str]:
     """Validation accuracy of every sampled model plus the selected id.
 
-    A validation encoding ignores the states, so its real input rows fix
-    its targets too; a fold scores each distinct row block once."""
-    pad_len = max_action_count(traces)
+    Each model's rows come from its validation_table, gathered by each
+    trace's action slots; they fix the targets too, so a fold scores each
+    distinct row block once. One-action traces have no target."""
+    tables = [validation_table(layout, candidate.model) for candidate in sampled.models]
+    slots = [action_slots(trace, layout) for trace in traces]
     correct = [[] for _ in sampled.models]
     total = [[] for _ in sampled.models]
     for fold in folds:
-        val_traces = [traces[i] for i in fold.validation_indices]
+        val_slots = [slots[i] for i in fold.validation_indices if len(slots[i]) > 1]
         counts: dict[bytes, tuple[int, int]] = {}
-        for k, candidate in enumerate(sampled.models):
+        for k, table in enumerate(tables):
             c = t = 0
-            for seq in encode_corpus(val_traces, layout, model=candidate.model,
-                                     pad_len=pad_len):
-                key = seq.inputs[:seq.valid_steps].tobytes()
+            for trace_slots in val_slots:
+                rows = table[trace_slots]
+                key = rows.tobytes()
                 if key not in counts:
-                    counts[key] = accuracy(fold.params, [seq])
+                    counts[key] = accuracy(fold.params, [encode_rows(rows, trace_slots, layout)])
                 c += counts[key][0]
                 t += counts[key][1]
             if t == 0:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pdeeplearn.cli import main
-from pdeeplearn.pipeline import PipelineConfig, parse_config
+from pdeeplearn.pipeline import PhaseError, PipelineConfig, parse_config, run_pipeline
 
 
 def test_generate_writes_trace_file(tmp_path, capsys):
@@ -216,6 +216,22 @@ def test_pipeline_bad_config_exit_code(tmp_path):
     code = main(["pipeline", "--config", str(config), "--out-root",
                  str(tmp_path / "runs")])
     assert code == 1  # config phase failure
+
+
+def test_a_schedule_point_above_the_trace_count_is_an_error(tmp_path, capsys):
+    config = PipelineConfig(domain="kiln", trace_count=30, schedule=(10, 20, 40))
+    with pytest.raises(PhaseError) as caught:
+        run_pipeline(config, tmp_path / "runs")
+    assert caught.value.exit_code == 1
+    assert str(caught.value) == "phase 'config' failed: schedule exceeds trace_count"
+    traces = tmp_path / "t.traces"
+    assert main(["generate", "--domain", "kiln", "--count", "30", "--out", str(traces)]) == 0
+    capsys.readouterr()
+    rules = tmp_path / "rules.json"
+    assert main(["mine", "--traces", str(traces), "--schedule", "10,20,40",
+                 "--out", str(rules)]) == 1
+    assert capsys.readouterr().err == "error: schedule exceeds trace_count\n"
+    assert not rules.exists()
 
 
 def test_train_init_gain_writes_the_params_of_train_folds(tmp_path):

@@ -478,3 +478,44 @@ def test_a_non_finite_input_row_raises_at_its_step():
     seq.inputs[2, 0] = np.nan
     with pytest.raises(NumericError, match="^non-finite activation at step 2$"):
         lstm_forward(params, seq)
+
+
+def test_a_one_action_sequence_has_a_zero_gradient_without_a_forward_pass():
+    rng = stream_rng(14, "one-action")
+    d, h, n = 5, 3, 3
+    seq = random_sequence(rng, 4, d, n, 1)
+    params = init_parameters(d, h, n, rng)
+    params.W[:] = np.nan  # any forward pass over its row would raise
+    with pytest.raises(NumericError):
+        lstm_forward(params, seq)
+    out = zero_like(params)
+    _flat(out)[:] = rng.normal(size=_flat(out).size) * 1e6
+    _flat(out)[::3] = np.nan
+    loss, steps, grads = loss_and_gradients(params, seq, out=out)
+    assert (loss, steps) == (0.0, 0)
+    assert grads is out
+    assert _flat(grads).tobytes() == np.zeros(_flat(grads).size).tobytes()
+    assert accuracy(params, [seq]) == (0, 0)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_the_final_real_input_row_enters_neither_training_nor_accuracy(dropout):
+    rng = stream_rng(15, "final-row-nan", str(dropout))
+    d, h, n = 6, 4, 3
+    seq = random_sequence(rng, 6, d, n, 4)
+    params = init_parameters(d, h, n, rng)
+    masks = make_dropout_masks(rng, 4, h, dropout)
+    zero_row, nan_row = seq.inputs.copy(), seq.inputs.copy()
+    zero_row[3] = 0.0
+    nan_row[3] = np.nan
+    zeroed = EncodedSequence(zero_row, seq.targets, 4)
+    poisoned = EncodedSequence(nan_row, seq.targets, 4)
+    want_loss, want_steps, want = loss_and_gradients(params, zeroed, masks)
+    loss, steps, got = loss_and_gradients(params, poisoned, masks)
+    assert (loss, steps) == (want_loss, want_steps)
+    assert steps == 3
+    _assert_same_bytes(got, want)
+    assert accuracy(params, [poisoned]) == accuracy(params, [zeroed])
+    # lstm_forward still runs every real row.
+    with pytest.raises(NumericError, match="^non-finite activation at step 3$"):
+        lstm_forward(params, poisoned)

@@ -1,5 +1,6 @@
 """Fold-harness and selection tests."""
 
+import multiprocessing
 import os
 from dataclasses import replace
 from fractions import Fraction
@@ -9,8 +10,10 @@ import pytest
 
 from pdeeplearn import scoring
 from pdeeplearn.domains import get_domain
-from pdeeplearn.encoding import build_layout, encode_corpus, max_action_count
-from pdeeplearn.lstm import PARAM_ORDER, TrainConfig, TrainingDivergence, train
+from pdeeplearn.encoding import (EncodedSequence, build_layout, encode_corpus, encode_training,
+                                 encode_validation, max_action_count)
+from pdeeplearn.lstm import (PARAM_ORDER, TrainConfig, TrainingDivergence, accuracy,
+                             lstm_forward, train)
 from pdeeplearn.pipeline import run_pipeline, shipped_config
 from pdeeplearn.pruning import SampledModel, SampledModelSet, sample_models
 from pdeeplearn.scoring import ModelScore, fold_split, ranked, score_models, train_folds
@@ -116,6 +119,64 @@ def test_a_duplicated_model_scores_as_it_does_alone(kiln_setup):
         scores[0].fold_correct, scores[0].fold_total)
 
 
+def _per_ref_validation_rows(trace, layout, model):
+    # The per-ref loop that encoded validation rows before the row table,
+    # kept as its oracle.
+    rows = np.zeros((trace.action_count, layout.input_dim))
+    for t, (_, ga, _) in enumerate(trace.transitions()):
+        rows[t, layout.action_slot(ga.action)] = 1.0
+        offset = layout.block_offset(ga.action)
+        refs = model.entry(ga.action).refs()
+        for k, ref in enumerate(layout.block(ga.action)):
+            if ref in refs:
+                rows[t, offset + k] = 1.0
+    return rows
+
+
+def test_validation_rows_match_the_per_ref_loop_and_score_as_it_did(kiln_setup):
+    schema, model, unitary, traces, layout, folds = kiln_setup
+    sampled = sample_models(cand.build_space(schema), unitary, PlannerConfig(), budget=12,
+                            rng_seed=4, include_reference=True, reference=model)
+    pad = max_action_count(traces)
+    oracle = {}
+    for candidate in sampled.models:
+        for i, trace in enumerate(traces):
+            rows = _per_ref_validation_rows(trace, layout, candidate.model)
+            seq = encode_validation(trace, layout, candidate.model, pad)
+            assert seq.inputs[:seq.valid_steps].tobytes() == rows.tobytes()
+            assert not seq.inputs[seq.valid_steps:].any()
+            targets = encode_training(trace, layout, pad).targets
+            assert seq.targets.tobytes() == targets.tobytes()
+            oracle[candidate.model_id, i] = EncodedSequence(rows, targets[:len(rows)], len(rows))
+    # Every fold's counts are those of a forward pass over each oracle row
+    # block, one-action traces included.
+    scores, _ = score_models(folds, traces, sampled, layout)
+    for score in scores:
+        for k, fold in enumerate(folds):
+            seqs = [oracle[score.model_id, i] for i in fold.validation_indices]
+            assert accuracy(fold.params, seqs) == (score.fold_correct[k], score.fold_total[k])
+
+
+def test_traces_that_differ_only_in_their_last_action_are_scored_apart(kiln_setup):
+    # The final input row fixes the last target, so the cache key keeps it.
+    schema, model, unitary, traces, layout, folds = kiln_setup
+    trace = max(traces, key=lambda t: t.action_count)
+    n = trace.action_count
+    probs = lstm_forward(folds[0].params, encode_validation(trace, layout, model))
+    predicted = int(probs[n - 2].argmax())
+    by_slot = {layout.action_slot(a.action): a for t in traces for a in t.actions()}
+    other = next(slot for slot in by_slot if slot != predicted)
+    twins = [replace(trace, steps=trace.steps[:-2] + (by_slot[slot], trace.steps[-1]))
+             for slot in (predicted, other)]
+    want = [accuracy(folds[0].params, [encode_validation(t, layout, model)]) for t in twins]
+    assert want[0][0] == want[1][0] + 1
+    only = SampledModelSet((SampledModel("m0000", model, (0, 0, 0), True),))
+    fold = replace(folds[0], validation_indices=(0, 1))
+    scores, _ = score_models([fold], twins, only, layout)
+    assert (scores[0].fold_correct, scores[0].fold_total) == (
+        (want[0][0] + want[1][0],), (want[0][1] + want[1][1],))
+
+
 def assert_no_child_process():
     # Every process a pool started has exited and been reaped.
     with pytest.raises(ChildProcessError):
@@ -176,3 +237,32 @@ def test_no_process_outlives_run_pipeline(tmp_path, cpus):
     run = run_pipeline(config, tmp_path)
     assert run.report is not None
     assert_no_child_process()
+
+
+def test_each_fold_trains_in_its_own_worker(kiln_setup, cpus, monkeypatch):
+    schema, model, unitary, traces, layout, _ = kiln_setup
+    cpus(2)
+    # Each call waits until three calls run at once, so fewer than three
+    # workers break the barrier instead of sharing the folds.
+    barrier = multiprocessing.get_context("fork").Barrier(3, timeout=60)
+
+    def record(dataset, cfg, seed_key=()):
+        barrier.wait()
+        return None, [os.getpid()]
+
+    # Forked workers inherit the patched binding.
+    monkeypatch.setattr(scoring, "train", record)
+    cfg = TrainConfig(hidden_units=4, dropout_rate=0.0, epochs=1, folds=3)
+    pids = [fold.loss_history[0] for fold in train_folds(traces, layout, cfg)]
+    assert len(set(pids)) == 3
+    assert os.getpid() not in pids
+    assert_no_child_process()
+
+
+def test_fold_workers_are_one_per_fold_and_at_most_four_per_cpu(cpus):
+    cpus(1)
+    assert [scoring._fold_workers(f) for f in (2, 5, 500)] == [1, 1, 1]
+    cpus(2)
+    assert [scoring._fold_workers(f) for f in (2, 3, 5, 8, 9, 500)] == [2, 3, 5, 8, 8, 8]
+    cpus(16)
+    assert [scoring._fold_workers(f) for f in (5, 64, 65, 1000)] == [5, 64, 64, 64]
