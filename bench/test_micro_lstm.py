@@ -7,13 +7,16 @@ For every shipped config, the fold-0 training split is encoded as the
 pipeline encodes it (same traces, padding and initial parameters), and
 one round is a pass over that split calling one function per sequence:
 loss_and_gradients into one reused gradient buffer as train calls it,
-adam_step, or lstm_forward. extra_info["sequences"] holds the split size;
-a round's time divided by it is the per-sequence time. extra_info["steps"]
-holds the recurrence steps of one round: target steps for training, every
-real step for lstm_forward. test_train times the whole fold instead: one
-round is one train call, every epoch of it, as a fold worker runs it. The
-pipeline trains its folds in worker processes, where perfbench's tracer
-cannot see these calls, so they are timed here.
+adam_step with a gradient, adam_step without one (the zero-gradient form
+that train takes for a sequence with no target step), or lstm_forward.
+extra_info["sequences"] holds the split size; a round's time divided by
+it is the per-sequence time. extra_info["steps"] holds the recurrence
+steps of one round: target steps for training, every real step for
+lstm_forward. test_train times the whole fold instead: one round is one
+train call, every epoch of it, as a fold worker runs it; its extra_info
+counts the fold's Adam steps of each form ("adam_full_steps",
+"adam_zero_steps"). The pipeline trains its folds in worker processes,
+where perfbench's tracer cannot see these calls, so they are timed here.
 """
 
 from dataclasses import dataclass
@@ -91,6 +94,18 @@ def test_adam_step(benchmark, fold0):
     benchmark(one_pass)
 
 
+def test_adam_step_zero_gradient(benchmark, fold0):
+    params = fold0.fresh_params()
+    state = AdamState.for_params(params)
+
+    def one_pass():
+        for _ in fold0.dataset:
+            adam_step(params, None, state, fold0.cfg)
+
+    benchmark.extra_info["sequences"] = len(fold0.dataset)
+    benchmark(one_pass)
+
+
 def test_lstm_forward(benchmark, fold0):
     params = fold0.fresh_params()
 
@@ -108,4 +123,8 @@ def test_train(benchmark, fold0):
     benchmark.extra_info["epochs"] = fold0.cfg.epochs
     benchmark.extra_info["steps"] = fold0.cfg.epochs * sum(seq.target_steps
                                                           for seq in fold0.dataset)
+    no_target = sum(seq.target_steps == 0 for seq in fold0.dataset)
+    benchmark.extra_info["adam_zero_steps"] = fold0.cfg.epochs * no_target
+    benchmark.extra_info["adam_full_steps"] = fold0.cfg.epochs * (len(fold0.dataset)
+                                                                 - no_target)
     benchmark.pedantic(train, args=(fold0.dataset, fold0.cfg, ("fold", 0)), rounds=3)

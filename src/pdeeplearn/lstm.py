@@ -13,17 +13,22 @@ logits = dropped @ w_out + b_out and a row-wise softmax after it.
 Backward: dlogits, dw_out, db_out and every step's dh at once; the
 reverse loop carries dc and dh back and stores each dz_t. Then dW =
 xs.T @ dzs, db = dzs summed over steps and dU = hs[1:steps].T @ dzs[1:]
-(h_0 = 0): three gemms in place of two outer products per step. Adam
-takes the efficient form of Kingma & Ba (2015), section 2: the bias
-corrections fold into the step lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
-eps_hat = eps * sqrt(1 - beta2^t), which saves two full-length divisions
-per update.
+(h_0 = 0): three gemms in place of two outer products per step. No gemm
+has inner dimension 1: at two target steps dU keeps the h_0 row, which
+adds exact zeros, because numpy runs a (128 x 1) @ (1 x 512) product off
+its BLAS path (74-77 us against 23 us at inner dimension 2, numpy 2.4.6,
+OpenBLAS 0.3.31). Adam takes the efficient form of Kingma & Ba (2015),
+section 2: the bias corrections fold into the step lr * sqrt(1 -
+beta2^t) / (1 - beta1^t) and eps_hat = eps * sqrt(1 - beta2^t), which
+saves two full-length divisions per update.
 
 Training and accuracy run the recurrence over the target rows [0,
 target_steps) only: the final real step has no target and nothing after
-it, so its dz is exactly zero. A one-action sequence gets a zero gradient
-without a forward pass, and train still draws its masks and takes its
-Adam step. No row past valid_steps enters any product, so padding stays
+it, so its dz is exactly zero. For a one-action sequence train draws the
+masks, computes no gradient and takes the zero-gradient Adam step (m *=
+beta1, v *= beta2, then the usual update), 7 of the 12 full-length passes.
+These fast paths change no bit of the parameters, losses or any artifact.
+No row past valid_steps enters any product, so padding stays
 bit-neutral. The gemms add the per-step terms in another order, so the
 gradients match a per-step computation (kept in the tests as an oracle)
 to within 1e-12 of their largest entry, not bit for bit.
@@ -142,10 +147,11 @@ def _flat_zeros(shapes: Sequence[tuple[int, ...]]) -> LstmParameters:
 
 def _flat(params: LstmParameters) -> np.ndarray:
     """The one buffer behind params, as laid out by _flat_zeros."""
-    buffer = params.W.base
-    arrays = params.arrays().values()
-    if (buffer is None or buffer.size != sum(a.size for a in arrays)
-            or any(a.base is not buffer for a in arrays)):
+    W, U, b, w_out, b_out = params.W, params.U, params.b, params.w_out, params.b_out
+    buffer = W.base
+    if (buffer is None or buffer.size != W.size + U.size + b.size + w_out.size + b_out.size
+            or U.base is not buffer or b.base is not buffer or w_out.base is not buffer
+            or b_out.base is not buffer):
         raise ValueError("parameters do not share one flat buffer; "
                          "build them with init_parameters or zero_like")
     return buffer
@@ -214,8 +220,8 @@ def _run_forward(params: LstmParameters, seq: EncodedSequence,
         np.multiply(o, tanh_cs[t], out=hs[t + 1])
     dropped = hs[1:] * masks if masks is not None else hs[1:]
     logits = dropped @ params.w_out + params.b_out
-    finite = np.isfinite(logits).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(logits).all():
+        finite = np.isfinite(logits).all(axis=1)
         raise NumericError(f"non-finite activation at step {int(np.argmin(finite))}")
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
@@ -260,11 +266,10 @@ def loss_and_gradients(
     cache = _run_forward(params, seq, dropout_mask, steps)
     h = params.hidden
     loss, _ = sequence_loss(cache.probs, seq)
-    dW, dU, db, dw_out, db_out = grads.arrays().values()
     # The softmax head for every step at once.
     dlogits = cache.probs - seq.targets[:steps]
-    np.matmul(cache.dropped.T, dlogits, out=dw_out)
-    np.sum(dlogits, axis=0, out=db_out)
+    np.matmul(cache.dropped.T, dlogits, out=grads.w_out)
+    dlogits.sum(axis=0, out=grads.b_out)
     dhs = dlogits @ params.w_out.T
     if cache.masks is not None:
         dhs *= cache.masks
@@ -292,9 +297,12 @@ def loss_and_gradients(
         if t > 0:  # nothing reads dc_next or dh_{t-1} after t = 0
             dc_next = dc * f
             dhs[t - 1] += params.U @ dz
-    np.matmul(cache.xs.T, dzs, out=dW)
-    np.sum(dzs, axis=0, out=db)
-    np.matmul(cache.hs[1:steps].T, dzs[1:], out=dU)  # h_0 = 0 adds nothing
+    np.matmul(cache.xs.T, dzs, out=grads.W)
+    dzs.sum(axis=0, out=grads.b)
+    # h_0 = 0 adds exact zeros; at two steps keeping it avoids a gemm with
+    # inner dimension 1, which numpy runs off its BLAS path (3x slower).
+    first = 0 if steps == 2 else 1
+    np.matmul(cache.hs[first:steps].T, dzs[first:], out=grads.U)
     return loss, steps, grads
 
 
@@ -313,7 +321,7 @@ class AdamState:
         return cls(np.zeros(size), np.zeros(size), np.empty(size))
 
 
-def adam_step(params: LstmParameters, grads: LstmParameters, state: AdamState,
+def adam_step(params: LstmParameters, grads: Optional[LstmParameters], state: AdamState,
               cfg: TrainConfig) -> LstmParameters:
     """Update params in place and return them, in the efficient form of
     Kingma & Ba (2015), section 2: the bias corrections fold into one
@@ -321,18 +329,22 @@ def adam_step(params: LstmParameters, grads: LstmParameters, state: AdamState,
     eps_hat = eps * sqrt(1 - beta2^t), and p -= step * (m / (sqrt(v) +
     eps_hat)) equals p -= lr * m_hat / (sqrt(v_hat) + eps). The operations
     are those of that out-of-place formula, in the same order, so the
-    result is bit-identical to it."""
+    result is bit-identical to it. grads None is a zero gradient: the
+    moments only decay, bit-identical to adding (1 - beta) * (+0), as
+    neither moment is ever -0."""
+    p, m, v, s = _flat(params), state.m, state.v, state.scratch
+    g = None if grads is None else _flat(grads)
     state.t += 1
-    p, g, m, v, s = _flat(params), _flat(grads), state.m, state.v, state.scratch
     root_c2 = np.sqrt(1.0 - cfg.beta2 ** state.t)
     step = cfg.learning_rate * root_c2 / (1.0 - cfg.beta1 ** state.t)
     m *= cfg.beta1
-    np.multiply(g, 1.0 - cfg.beta1, out=s)
-    m += s
     v *= cfg.beta2
-    np.multiply(g, 1.0 - cfg.beta2, out=s)
-    s *= g
-    v += s
+    if g is not None:
+        np.multiply(g, 1.0 - cfg.beta1, out=s)
+        m += s
+        np.multiply(g, 1.0 - cfg.beta2, out=s)
+        s *= g
+        v += s
     np.sqrt(v, out=s)
     s += cfg.epsilon * root_c2
     np.divide(m, s, out=s)
@@ -375,6 +387,9 @@ def train(
             seq = dataset[int(idx)]
             masks = make_dropout_masks(rng, seq.valid_steps, cfg.hidden_units,
                                        cfg.dropout_rate)
+            if seq.target_steps == 0:  # a zero gradient: no pass, no fill
+                adam_step(params, None, state, cfg)
+                continue
             loss, steps, _ = loss_and_gradients(params, seq, masks, out=grads)
             total_loss += loss
             total_steps += steps

@@ -226,6 +226,40 @@ def test_training_with_dropout_is_also_deterministic():
         assert np.array_equal(getattr(params_a, name), getattr(params_b, name))
 
 
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_train_matches_the_plain_per_sequence_loop_bit_for_bit(dropout):
+    # train skips the gradient pass of a sequence without a target and
+    # takes the zero-gradient Adam step; the plain loop computes every
+    # gradient and takes the full step, with the same random streams.
+    rng = stream_rng(17, "train-loop", str(dropout))
+    d, h, n, pad = 6, 4, 3, 6
+    dataset = [random_sequence(rng, pad, d, n, valid) for valid in (1, 2, 3, 5, 6) * 3]
+    assert {seq.target_steps for seq in dataset} == {0, 1, 2, 4, 5}
+    cfg = TrainConfig(hidden_units=h, dropout_rate=dropout, epochs=3, folds=2,
+                      init_gain=3.0, rng_seed=5)
+    seed_key = ("fold", 1)
+    got, got_history = train(dataset, cfg, seed_key)
+
+    params = init_parameters(d, h, n, stream_rng(cfg.rng_seed, "init", *seed_key),
+                             cfg.init_gain)
+    state = AdamState.for_params(params)
+    grads = zero_like(params)
+    loop_rng = stream_rng(cfg.rng_seed, "train", *seed_key)
+    history = []
+    for _ in range(cfg.epochs):
+        total_loss, total_steps = 0.0, 0
+        for idx in loop_rng.permutation(len(dataset)):
+            seq = dataset[int(idx)]
+            masks = make_dropout_masks(loop_rng, seq.valid_steps, h, dropout)
+            loss, steps, _ = loss_and_gradients(params, seq, masks, out=grads)
+            total_loss += loss
+            total_steps += steps
+            adam_step(params, grads, state, cfg)
+        history.append(total_loss / max(total_steps, 1))
+    assert got_history == history
+    _assert_same_bytes(got, params)
+
+
 def test_parameter_files_round_trip_bytes(tmp_path):
     rng = stream_rng(6, "serialize")
     params = init_parameters(5, 3, 2, rng)
@@ -283,6 +317,32 @@ def test_adam_step_matches_the_out_of_place_formula_bit_for_bit():
             assert np.allclose(expected[name], textbook, rtol=1e-12, atol=0)
 
 
+def test_adam_step_without_a_gradient_matches_a_zero_gradient_bit_for_bit():
+    # Earlier steps on random gradients leave negative entries in m and
+    # tiny ones in v; the zero-gradient form only decays them, which must
+    # round exactly as adding (1 - beta) * (+0) to them does.
+    rng = stream_rng(16, "adam-zero")
+    cfg = TrainConfig(learning_rate=3e-3)
+    params = init_parameters(5, 4, 3, rng)
+    state = AdamState.for_params(params)
+    for _ in range(4):
+        grads = zero_like(params)
+        _flat(grads)[:] = rng.normal(size=_flat(grads).size) * 10.0 ** rng.integers(
+            -200, 3, size=_flat(grads).size)
+        adam_step(params, grads, state, cfg)
+    assert (state.m < 0).any() and (state.v < 1e-300).any()
+    twin = zero_like(params)
+    _flat(twin)[:] = _flat(params)
+    twin_state = AdamState(state.m.copy(), state.v.copy(), np.empty_like(state.m), state.t)
+    for _ in range(3):
+        assert adam_step(params, None, state, cfg) is params
+        adam_step(twin, zero_like(params), twin_state, cfg)
+        assert state.t == twin_state.t
+        assert _flat(params).tobytes() == _flat(twin).tobytes()
+        assert state.m.tobytes() == twin_state.m.tobytes()
+        assert state.v.tobytes() == twin_state.v.tobytes()
+
+
 def test_adam_step_rejects_parameters_outside_one_buffer():
     params = init_parameters(3, 2, 2, stream_rng(8, "adam"))
     loose = params.copy()
@@ -301,11 +361,16 @@ def test_training_divergence_survives_pickling():
 def _reference_loss_and_gradients(params, seq, masks):
     """BPTT written out in full: every step adds np.outer(x_t, dz) to dW
     and np.outer(h_{t-1}, dz) to dU, including t = 0 and the zero rows of
-    x_t. loss_and_gradients sums the same terms in another order."""
+    x_t. loss_and_gradients sums the same terms in another order. The
+    head's dh comes from one gemm over the target rows, as there, so that
+    both start every step from the same dh and the same dz_t: then a
+    weight-gradient entry that is a single product matches bit for bit."""
     cache = _run_forward(params, seq, masks)
     h = params.hidden
     grads = zero_like(params)
     dW, dU, db, dw_out, db_out = grads.arrays().values()
+    target = seq.target_steps
+    dhds = (cache.probs[:target] - seq.targets[:target]) @ params.w_out.T
     dh_next = np.zeros(h)
     dc_next = np.zeros(h)
     loss = 0.0
@@ -318,7 +383,7 @@ def _reference_loss_and_gradients(params, seq, masks):
             dlogits = p - y
             dw_out += np.outer(cache.dropped[t], dlogits)
             db_out += dlogits
-            dhd = params.w_out @ dlogits
+            dhd = dhds[t]
             dh += dhd * masks[t] if masks is not None else dhd
         gate = cache.gates[t]
         sig = gate[:3 * h]
@@ -363,12 +428,14 @@ def _assert_close_to_oracle(got, want):
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
-@pytest.mark.parametrize("valid", [1, 2, 5])
+@pytest.mark.parametrize("valid", [1, 2, 3, 5])
 @pytest.mark.parametrize("inputs", ["binary", "real"])
-def test_bptt_matches_the_full_outer_product_oracle_bit_for_bit(inputs, valid, dropout):
+def test_bptt_matches_the_full_outer_product_oracle_to_1e12(inputs, valid, dropout):
     # The gemms sum the oracle's terms in another order, so each array is
     # held to within 1e-12 of its largest oracle entry; a reused buffer
-    # and a fresh one still agree bit for bit.
+    # and a fresh one still agree bit for bit. Up to two target steps
+    # every entry of dU is a single product h_1[i] * dz_1[j] plus exact
+    # zeros, so there it must equal the oracle exactly.
     rng = stream_rng(valid, "bptt-oracle", inputs, str(dropout))
     d, h, n, pad = 7, 5, 3, 6
     make = random_sequence if inputs == "binary" else _real_valued_sequence
@@ -392,6 +459,8 @@ def test_bptt_matches_the_full_outer_product_oracle_bit_for_bit(inputs, valid, d
         assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
         _assert_close_to_oracle(reused, want)
         _assert_same_bytes(reused, fresh)
+        if steps <= 2:
+            assert np.array_equal(fresh.U, want.U)
 
 
 def test_bptt_without_out_returns_a_fresh_unaliased_buffer():
