@@ -358,14 +358,16 @@ def test_training_divergence_survives_pickling():
     assert str(again) == str(error) == "training loss became non-finite at epoch 3"
 
 
-def _reference_loss_and_gradients(params, seq, masks):
-    """BPTT written out in full: every step adds np.outer(x_t, dz) to dW
-    and np.outer(h_{t-1}, dz) to dU, including t = 0 and the zero rows of
+def _reference_loss_and_gradients(params, seq, masks, rows=None):
+    """BPTT written out in full over the first `rows` steps, all real steps
+    by default: every step adds np.outer(x_t, dz) to dW and
+    np.outer(h_{t-1}, dz) to dU, including t = 0 and the zero rows of
     x_t. loss_and_gradients sums the same terms in another order. The
     head's dh comes from one gemm over the target rows, as there, so that
-    both start every step from the same dh and the same dz_t: then a
-    weight-gradient entry that is a single product matches bit for bit."""
-    cache = _run_forward(params, seq, masks)
+    both start every step from the same dh and the same dz_t: then, with
+    rows = target_steps, so that the forward gemm has the same shape too,
+    a weight-gradient entry that is a single product matches bit for bit."""
+    cache = _run_forward(params, seq, masks, rows)
     h = params.hidden
     grads = zero_like(params)
     dW, dU, db, dw_out, db_out = grads.arrays().values()
@@ -374,7 +376,7 @@ def _reference_loss_and_gradients(params, seq, masks):
     dh_next = np.zeros(h)
     dc_next = np.zeros(h)
     loss = 0.0
-    for t in range(seq.valid_steps - 1, -1, -1):
+    for t in range(len(cache.xs) - 1, -1, -1):
         dh = dh_next
         if t < seq.target_steps:
             y = seq.targets[t]
@@ -427,40 +429,67 @@ def _assert_close_to_oracle(got, want):
         assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0), name
 
 
-@pytest.mark.parametrize("dropout", [0.0, 0.5])
-@pytest.mark.parametrize("valid", [1, 2, 3, 5])
-@pytest.mark.parametrize("inputs", ["binary", "real"])
-def test_bptt_matches_the_full_outer_product_oracle_to_1e12(inputs, valid, dropout):
-    # The gemms sum the oracle's terms in another order, so each array is
-    # held to within 1e-12 of its largest oracle entry; a reused buffer
-    # and a fresh one still agree bit for bit. Up to two target steps
-    # every entry of dU is a single product h_1[i] * dz_1[j] plus exact
-    # zeros, so there it must equal the oracle exactly.
+def _oracle_cases(inputs, valid, dropout):
+    """Three sequences, each with the oracle's (loss, steps, gradient) and
+    loss_and_gradients' result in a fresh buffer and in one reused buffer
+    that starts out holding NaN and garbage."""
     rng = stream_rng(valid, "bptt-oracle", inputs, str(dropout))
     d, h, n, pad = 7, 5, 3, 6
     make = random_sequence if inputs == "binary" else _real_valued_sequence
     seqs = [make(rng, pad, d, n, valid) for _ in range(3)]
     params = init_parameters(d, h, n, rng, input_gain=3.0)
     params.b[:] = rng.normal(size=params.b.shape)
-    # A reused buffer holding NaN and garbage must come back as the oracle.
     out = zero_like(params)
     _flat(out)[:] = rng.normal(size=_flat(out).size) * 1e6
     _flat(out)[::3] = np.nan
     for seq in seqs:
         masks = make_dropout_masks(rng, valid, h, dropout)
-        want_loss, want_steps, want = _reference_loss_and_gradients(params, seq, masks)
-        loss, steps, fresh = loss_and_gradients(params, seq, masks)
-        assert steps == want_steps
-        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
-        _assert_close_to_oracle(fresh, want)
-        loss, steps, reused = loss_and_gradients(params, seq, masks, out=out)
-        assert reused is out
-        assert steps == want_steps
-        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
-        _assert_close_to_oracle(reused, want)
+        want = _reference_loss_and_gradients(params, seq, masks)
+        fresh = loss_and_gradients(params, seq, masks)
+        reused = loss_and_gradients(params, seq, masks, out=out)
+        assert reused[2] is out
+        yield params, seq, masks, want, fresh, reused
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("valid", [1, 2, 3, 5])
+@pytest.mark.parametrize("inputs", ["binary", "real"])
+def test_bptt_matches_the_full_outer_product_oracle_to_1e12(inputs, valid, dropout):
+    # The gemms sum the oracle's terms in another order, so each array is
+    # held to within 1e-12 of its largest oracle entry.
+    for _, _, _, (want_loss, want_steps, want), fresh, reused in _oracle_cases(inputs, valid, dropout):
+        for loss, steps, grads in (fresh, reused):
+            assert steps == want_steps
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            _assert_close_to_oracle(grads, want)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("valid", [1, 2, 3, 5])
+@pytest.mark.parametrize("inputs", ["binary", "real"])
+def test_bptt_matches_the_full_outer_product_oracle_bit_for_bit(inputs, valid, dropout):
+    # What must match exactly: a reused buffer and a fresh one agree bit
+    # for bit, and every gradient entry that is a single product plus exact
+    # zeros equals the oracle's. A row of dW, dU or dw_out is such a sum
+    # when its factor (x_t, h_{t-1} or the dropped h_t) is nonzero at no
+    # more than one target step; db and db_out are, up to one target step.
+    # Up to two target steps that covers all of dU, since h_0 = 0, and
+    # there dU equals even the full oracle's. The oracle otherwise runs the
+    # same target rows, so that its forward pass rounds as
+    # loss_and_gradients' does.
+    for params, seq, masks, (_, _, full), (_, steps, fresh), (_, _, reused) in _oracle_cases(
+            inputs, valid, dropout):
         _assert_same_bytes(reused, fresh)
+        _, _, want = _reference_loss_and_gradients(params, seq, masks, steps)
+        cache = _run_forward(params, seq, masks, steps)
+        for name, factors in (("W", cache.xs), ("U", cache.hs), ("w_out", cache.dropped)):
+            rows = (factors[:steps] != 0).sum(axis=0) <= 1
+            assert np.array_equal(getattr(fresh, name)[rows], getattr(want, name)[rows]), name
+        if steps <= 1:
+            assert np.array_equal(fresh.b, want.b)
+            assert np.array_equal(fresh.b_out, want.b_out)
         if steps <= 2:
-            assert np.array_equal(fresh.U, want.U)
+            assert np.array_equal(fresh.U, full.U)
 
 
 def test_bptt_without_out_returns_a_fresh_unaliased_buffer():
