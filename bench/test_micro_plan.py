@@ -4,16 +4,18 @@
     PYTHONPATH=src python -m pytest bench --benchmark-disable   # run each once
 
 For every shipped config, one round of test_generate_traces is the
-pipeline's generate phase (pipeline.generate, one generate_traces call),
-and one round of test_plan_unitary is one plan call on the domain's
-unitary problem, the screen sample_models runs once per drawn model.
-extra_info holds the trace count and the planner expansions.
+pipeline's generate phase (pipeline.generate, one generate_traces call).
+One round of test_compile_actions grounds the reference over the domain's
+unitary problem, and one round of test_plan_unitary searches that
+compiled table: the two halves of the screen sample_models runs once per
+drawn model. extra_info holds the trace count, the table rows and the
+planner expansions.
 """
 
 import pytest
 
 from pdeeplearn.pipeline import generate, load, shipped_config
-from pdeeplearn.tracegen import plan
+from pdeeplearn.tracegen import compile_actions, plan
 
 
 @pytest.fixture(scope="module", params=("gripper", "kiln", "battery"))
@@ -27,8 +29,16 @@ def test_generate_traces(benchmark, pinned):
     benchmark.extra_info["traces"] = len(traces)
 
 
+def test_compile_actions(benchmark, pinned):
+    _, domain = pinned
+    table = benchmark(compile_actions, domain.reference, domain.unitary.object_table())
+    assert table
+    benchmark.extra_info["rows"] = len(table)
+
+
 def test_plan_unitary(benchmark, pinned):
     config, domain = pinned
-    result = benchmark(plan, domain.unitary, domain.reference, config.planner())
+    table = compile_actions(domain.reference, domain.unitary.object_table())
+    result = benchmark(plan, domain.unitary, table, config.planner())
     assert result.found
     benchmark.extra_info["expansions"] = result.expansions

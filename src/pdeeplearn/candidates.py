@@ -186,9 +186,9 @@ def contains_reference(space: CandidateModelSpace, model: ActionModel) -> bool:
 # -- candidate-set files ------------------------------------------------------
 
 
-def _format_entry(entry: ActionModelEntry) -> str:
+def _format_entry(entry: ActionModelEntry, names: Mapping[LiftedPredicateRef, str]) -> str:
     def refs(lst: frozenset[LiftedPredicateRef]) -> str:
-        return " ".join(r.pretty() for r in sorted(lst))
+        return " ".join(names[r] for r in sorted(lst))
 
     return "(:candidate (:pre %s) (:add %s) (:del %s))" % (
         refs(entry.pre), refs(entry.add), refs(entry.delete))
@@ -197,11 +197,12 @@ def _format_entry(entry: ActionModelEntry) -> str:
 def write_candidates(space: CandidateModelSpace) -> str:
     lines = ["(candidate-sets", f"  (:domain {space.schema.name})"]
     for cas in space.per_action:
+        names = {r: r.pretty() for r in cas.refs}
         lines.append(f"  (:action {cas.action}")
-        lines.append("    (:relevant %s)" % " ".join(r.pretty() for r in cas.refs))
+        lines.append("    (:relevant %s)" % " ".join(names[r] for r in cas.refs))
         lines.append(f"    (:count {len(cas)})")
         for entry in cas.candidates:
-            lines.append("    " + _format_entry(entry))
+            lines.append("    " + _format_entry(entry, names))
         lines.append("  )")
     lines.append(")")
     return "\n".join(lines) + "\n"

@@ -2,11 +2,12 @@
 actions, random solvable problems, and state-action interleaved traces.
 
 Plans are found by breadth-first search (shortest) or greedy search on the
-number of unsatisfied goal atoms. Each search grounds the model once, into
-a compile_actions table, and then runs on frozensets of atoms. Random
-problems come from a per-domain configuration sampler plus a seeded random
-walk that picks a reachable goal, so generation never stalls on
-unsolvable instances.
+number of unsatisfied goal atoms, over the (action, pre, add, del) rows of
+compile_actions, the one place that grounds a model. generate_traces
+compiles each object set of its corpus once; the goal walk, the search and
+replay all read that table. Random problems come from a per-domain
+configuration sampler plus a seeded random walk that picks a reachable
+goal, so generation never stalls on unsolvable instances.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .core import (
     GroundAction,
     GroundAtom,
     PlanTrace,
+    PreconditionViolation,
     State,
-    apply,
     ground_entry,
 )
 from .domains import Sampler
@@ -135,9 +136,9 @@ def compile_actions(model: ActionModel, objects: Mapping[str, str]) -> tuple[Com
                  for ga in ground_actions(model.schema, objects))
 
 
-def plan(problem: ProblemSpec, model: ActionModel, cfg: PlannerConfig) -> PlanResult:
-    """Search for an action sequence from init to a state containing goal."""
-    table = compile_actions(model, problem.object_table())
+def plan(problem: ProblemSpec, table: Sequence[CompiledAction], cfg: PlannerConfig) -> PlanResult:
+    """Search table's rows for an action sequence from init to a state
+    containing goal; table is compile_actions(model, problem's objects)."""
     init, goal = problem.init.atoms, problem.goal
     if goal <= init:
         return PlanResult((), 0, False)
@@ -171,17 +172,23 @@ def plan(problem: ProblemSpec, model: ActionModel, cfg: PlannerConfig) -> PlanRe
 
 def solves_unitary(model: ActionModel, problem: ProblemSpec, cfg: PlannerConfig) -> bool:
     """True iff the model can solve the screening problem at all."""
-    return plan(problem, model, cfg).found
+    return plan(problem, compile_actions(model, problem.object_table()), cfg).found
 
 
-def replay(init: State, actions: Sequence[GroundAction], model: ActionModel,
+def replay(init: State, actions: Sequence[GroundAction], table: Sequence[CompiledAction],
            objects: Mapping[str, str]) -> PlanTrace:
-    """Record the interleaved trace of executing actions from init."""
+    """Record the interleaved trace of executing actions from init, one
+    table row per step. An action whose pre does not hold, or that has no
+    row, raises PreconditionViolation with core.apply's message."""
+    rows = {row[0]: row for row in table}
     steps: list = [init]
-    state = init
+    atoms = init.atoms
     for ga in actions:
-        state = apply(state, ga, model)
-        steps.extend([ga, state])
+        row = rows.get(ga)
+        if row is None or not row[1] <= atoms:
+            raise PreconditionViolation(f"{ga.pretty()} is not applicable")
+        atoms = (atoms - row[3]) | row[2]
+        steps.extend([ga, State(atoms)])
     return PlanTrace(tuple(sorted(objects.items())), tuple(steps))
 
 
@@ -205,23 +212,29 @@ def _random_walk(state: Atoms, table: Sequence[CompiledAction], length: int,
 
 
 def sample_problem(index: int, spec: GenerationSpec, model: ActionModel, sampler: Sampler,
-                   attempt: int = 0, walk_range: tuple[int, int] = (3, 12)) -> ProblemSpec:
+                   tables: dict[tuple, tuple[CompiledAction, ...]], attempt: int = 0,
+                   walk_range: tuple[int, int] = (3, 12)) -> ProblemSpec:
     """One random problem: sampled objects and init, goal via random walk.
 
     The goal is the full state reached by a seeded self-avoiding walk of
-    3..12 steps, so a plan always exists and is rarely trivial.
+    3..12 steps, so a plan always exists and is rarely trivial. The walk
+    reads tables[objects], the compile_actions table of the problem's
+    ProblemSpec.objects, compiling and storing it first if it is missing.
     """
     if spec.catalog_size:
         index = index % spec.catalog_size
     rng = stream_rng(spec.rng_seed, "problem", index, attempt)
     objects, init = sampler(rng, spec.object_count_ranges)
     length = int(rng.integers(walk_range[0], walk_range[1] + 1))
+    key = tuple(sorted(objects.items()))
+    if key not in tables:
+        tables[key] = compile_actions(model, objects)
     return ProblemSpec(
         name=f"generated-{index}",
         domain=model.schema.name,
-        objects=tuple(sorted(objects.items())),
+        objects=key,
         init=init,
-        goal=_random_walk(init.atoms, compile_actions(model, objects), length, rng),
+        goal=_random_walk(init.atoms, tables[key], length, rng),
     )
 
 
@@ -235,18 +248,22 @@ def generate_traces(
     """problem_count traces, each validated against the generating model.
 
     The i-th trace depends only on (rng_seed, i), so shorter runs are
-    exact prefixes of longer ones and reruns are byte-identical.
+    exact prefixes of longer ones and reruns are byte-identical. Each
+    distinct object set is compiled once, on first use, and its table
+    serves the walk, the search and the replay of every problem over it.
     """
     traces = []
+    tables: dict[tuple, tuple[CompiledAction, ...]] = {}
     for index in range(spec.problem_count):
         trace = None
         for attempt in range(max_retries):
-            problem = sample_problem(index, spec, model, sampler, attempt)
+            problem = sample_problem(index, spec, model, sampler, tables, attempt)
             if problem.goal <= problem.init.atoms:
                 continue
-            result = plan(problem, model, cfg)
+            table = tables[problem.objects]
+            result = plan(problem, table, cfg)
             if result.actions:
-                trace = replay(problem.init, result.actions, model, problem.object_table())
+                trace = replay(problem.init, result.actions, table, problem.object_table())
                 break
         if trace is None:
             raise GenerationError(

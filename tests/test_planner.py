@@ -8,11 +8,13 @@ import random
 import pytest
 
 from pdeeplearn import candidates as cand
+from pdeeplearn import tracegen
 from pdeeplearn.core import ActionModel, GroundAtom, apply, is_applicable, make_entry, validate_trace
+from pdeeplearn.core import GroundAction, PreconditionViolation
 from pdeeplearn.core import LiftedPredicateRef as Ref
 from pdeeplearn.domains import get_domain, load_domain
 from pdeeplearn.pddl import ProblemSpec, serialize_traces
-from pdeeplearn.pipeline import shipped_config
+from pdeeplearn.pipeline import generate, load, shipped_config
 from pdeeplearn.tracegen import (
     GenerationSpec,
     PlannerConfig,
@@ -21,6 +23,7 @@ from pdeeplearn.tracegen import (
     generate_traces,
     ground_actions,
     plan,
+    replay,
     solves_unitary,
 )
 
@@ -32,9 +35,13 @@ def gripper():
     return info, schema, model, unitary
 
 
+def _table(problem, model):
+    return compile_actions(model, problem.object_table())
+
+
 def test_unitary_plan_is_pick_move_drop(gripper):
     _, _, model, unitary = gripper
-    result = plan(unitary, model, PlannerConfig())
+    result = plan(unitary, _table(unitary, model), PlannerConfig())
     assert result.found
     assert [a.action for a in result.actions] == ["pick", "move", "drop"]
 
@@ -43,7 +50,7 @@ def test_goal_inside_init_gives_empty_plan(gripper):
     _, schema, model, unitary = gripper
     problem = ProblemSpec(unitary.name, schema.name, unitary.objects, unitary.init,
                           frozenset([GroundAtom("at", ("b1", "r1"))]))
-    result = plan(problem, model, PlannerConfig())
+    result = plan(problem, _table(problem, model), PlannerConfig())
     assert result.actions == ()
 
 
@@ -56,13 +63,13 @@ def test_unreachable_goal_returns_none(gripper):
         pre=[Ref("carry", (0, 3, 1))],
         add=[Ref("at-robby", (0, 2))],
     ))
-    result = plan(unitary, broken, PlannerConfig())
+    result = plan(unitary, _table(unitary, broken), PlannerConfig())
     assert result.actions is None and not result.exhausted
 
 
 def test_budget_exhaustion_is_flagged_not_raised(gripper):
     _, _, model, unitary = gripper
-    result = plan(unitary, model, PlannerConfig(max_expansions=1))
+    result = plan(unitary, _table(unitary, model), PlannerConfig(max_expansions=1))
     assert result.actions is None
     assert result.exhausted
 
@@ -86,13 +93,13 @@ def _exhaustive_shortest(problem, model, limit=6):
 def test_breadth_first_plans_are_shortest(gripper):
     _, schema, model, unitary = gripper
     oracle = _exhaustive_shortest(unitary, model)
-    result = plan(unitary, model, PlannerConfig())
+    result = plan(unitary, _table(unitary, model), PlannerConfig())
     assert oracle == len(result.actions) == 3
 
 
 def test_greedy_strategy_still_reaches_the_goal(gripper):
     _, _, model, unitary = gripper
-    result = plan(unitary, model, PlannerConfig(strategy="greedy-by-goal-count"))
+    result = plan(unitary, _table(unitary, model), PlannerConfig(strategy="greedy-by-goal-count"))
     assert result.found
     state = unitary.init
     for ga in result.actions:
@@ -102,11 +109,53 @@ def test_greedy_strategy_still_reaches_the_goal(gripper):
 
 def test_plan_replays_through_apply(gripper):
     info, _, model, unitary = gripper
-    result = plan(unitary, model, PlannerConfig())
+    result = plan(unitary, _table(unitary, model), PlannerConfig())
     state = unitary.init
     for ga in result.actions:
         assert is_applicable(state, ga, model)
         state = apply(state, ga, model)
+
+
+@pytest.mark.parametrize("bad", [
+    ("drop", ("rob1", "b1", "r1", "g1")),   # well typed, but the robot has left r1
+    ("pick", ("b1", "rob1", "r2", "g1")),   # ill typed, so it has no table row
+])
+def test_replay_raises_apply_s_violation_for_an_inapplicable_step(gripper, bad):
+    # The unitary plan is pick, move, drop; the bad step goes after move.
+    _, _, model, unitary = gripper
+    table = _table(unitary, model)
+    actions = plan(unitary, table, PlannerConfig()).actions
+    bad = GroundAction(*bad)
+    actions = actions[:2] + (bad,) + actions[2:]
+    state = unitary.init
+    with pytest.raises(PreconditionViolation) as applied:
+        for ga in actions:
+            state = apply(state, ga, model)
+    with pytest.raises(PreconditionViolation) as replayed:
+        replay(unitary.init, actions, table, unitary.object_table())
+    assert str(replayed.value) == str(applied.value) == f"{bad.pretty()} is not applicable"
+
+
+# Distinct object sets the shipped configs sample at their pinned seeds,
+# problems that were redrawn included.
+GOLDEN_OBJECT_SETS = {"gripper": 12, "kiln": 3, "battery": 6}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OBJECT_SETS))
+def test_generation_compiles_each_object_set_once(name, monkeypatch):
+    config = shipped_config(name)
+    domain = load(config)
+    plain = generate(config, domain)
+    seen = []
+
+    def spy(model, objects):
+        seen.append(tuple(sorted(objects.items())))
+        return compile_actions(model, objects)
+
+    monkeypatch.setattr(tracegen, "compile_actions", spy)
+    assert generate(config, domain) == plain
+    assert len(seen) == len(set(seen)) == GOLDEN_OBJECT_SETS[name]
+    assert {t.objects for t in plain} <= set(seen)
 
 
 def test_solves_unitary_true_for_reference_all_domains():
