@@ -1,17 +1,23 @@
 """Candidate model space: relevant predicates, per-action (pre, add, del)
-triples under the STRIPS semantic constraints, and an implicit cross
-product that is counted but never materialized.
+triples under the STRIPS semantic constraints, and their cross product,
+which is counted but never materialized.
 
 For k relevant refs every candidate assigns each ref one of five states:
 absent, del-only, add-only, pre-only, or pre-and-del (add together with
 pre or del is forbidden), so a full candidate action set has 5^k entries.
+A set holds each candidate as a code whose base-5 digits, first ref most
+significant, are the refs' states: the full set is arange(5^k), in
+itertools.product order, and entries are built only on demand.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+import math
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     ActionModel,
@@ -71,30 +77,76 @@ _REF_STATES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateActionSet:
-    """All admissible (pre, add, del) triples for one action."""
+    """Admissible (pre, add, del) triples of one action, as state codes.
+
+    Digit j of a code, in base len(states) with refs[0] the most
+    significant digit, is the index in states of refs[j]'s state. codes
+    lists the set's candidates in order; entry(i) builds the i-th one.
+    """
 
     action: str
     refs: tuple[LiftedPredicateRef, ...]
-    candidates: tuple[ActionModelEntry, ...]
-    _member_index: Mapping[ActionModelEntry, int] = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
+    states: tuple[tuple[bool, bool, bool], ...]
+    codes: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_member_index", {entry: i for i, entry in enumerate(self.candidates)}
-        )
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, CandidateActionSet)
+                and (self.action, self.refs, self.states) == (other.action, other.refs,
+                                                              other.states)
+                and np.array_equal(self.codes, other.codes))
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[ActionModelEntry]:
+        return (self.entry(i) for i in range(len(self)))
 
     def __contains__(self, entry: ActionModelEntry) -> bool:
-        return entry in self._member_index
+        return bool((self.codes == self._code(entry)).any())
+
+    def entry(self, i: int) -> ActionModelEntry:
+        code, lists = int(self.codes[i]), ([], [], [])
+        for ref in reversed(self.refs):
+            code, digit = divmod(code, len(self.states))
+            for members, member in zip(lists, self.states[digit]):
+                if member:
+                    members.append(ref)
+        return ActionModelEntry(self.action, *map(frozenset, lists))
+
+    def _code(self, entry: ActionModelEntry) -> Optional[int]:
+        """The code of entry, None if this action's refs and states cannot hold it."""
+        if entry.action != self.action or not entry.refs() <= set(self.refs):
+            return None
+        code = 0
+        for ref in self.refs:
+            state = (ref in entry.pre, ref in entry.add, ref in entry.delete)
+            if state not in self.states:
+                return None
+            code = code * len(self.states) + self.states.index(state)
+        return code
 
     def index_of(self, entry: ActionModelEntry) -> int:
-        return self._member_index[entry]
+        hits = np.flatnonzero(self.codes == self._code(entry))
+        if not len(hits):
+            raise KeyError(entry)
+        return int(hits[0])
+
+    def listing(self, entries: Iterable[ActionModelEntry]) -> CandidateActionSet:
+        """The set over the same refs and states that lists entries in order."""
+        return replace(self, codes=np.array([self._code(e) for e in entries], dtype=np.int64))
+
+    def masks(self, bits: Sequence[int]) -> np.ndarray:
+        """Rows pre, add, del and pre - del: for every candidate, the OR of
+        bits[j] over the refs j in that list, all digits decoded at once."""
+        width = len(self.states)
+        places = width ** np.arange(len(self.refs) - 1, -1, -1, dtype=np.int64)
+        states = np.array(self.states, dtype=bool)
+        lists = np.column_stack([states, states[:, 0] & ~states[:, 2]])
+        column = np.array(bits, dtype=np.int64 if max(bits, default=0) >> 62 == 0 else object)
+        hits = lists[self.codes // places[:, None] % width]  # (ref, candidate, list)
+        return np.bitwise_or.reduce(np.where(hits, column[:, None, None], 0), axis=0).T
 
 
 def enumerate_candidates(
@@ -111,22 +163,10 @@ def enumerate_candidates(
     """
     if len(refs) > max_relevant:
         raise TooManyRelevantPredicates(
-            f"action {action.name} has {len(refs)} relevant refs (cap {max_relevant})"
-        )
+            f"action {action.name} has {len(refs)} relevant refs (cap {max_relevant})")
     states = tuple(s for s in _REF_STATES if not (strict_del and s == (False, False, True)))
-    entries = []
-    for assignment in itertools.product(states, repeat=len(refs)):
-        pre, add, dele = [], [], []
-        for ref, (in_pre, in_add, in_del) in zip(refs, assignment):
-            if in_pre:
-                pre.append(ref)
-            if in_add:
-                add.append(ref)
-            if in_del:
-                dele.append(ref)
-        entries.append(ActionModelEntry(action.name, frozenset(pre), frozenset(add),
-                                        frozenset(dele)))
-    return CandidateActionSet(action.name, tuple(refs), tuple(entries))
+    return CandidateActionSet(action.name, tuple(refs), states,
+                              np.arange(len(states) ** len(refs), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -172,10 +212,7 @@ def build_space(schema: DomainSchema, strict_del: bool = False,
 
 def space_size(space: CandidateModelSpace) -> int:
     """Exact number of full models in the implicit cross product."""
-    size = 1
-    for cas in space.per_action:
-        size *= len(cas)
-    return size
+    return math.prod(len(cas) for cas in space.per_action)
 
 
 def contains_reference(space: CandidateModelSpace, model: ActionModel) -> bool:
@@ -186,23 +223,25 @@ def contains_reference(space: CandidateModelSpace, model: ActionModel) -> bool:
 # -- candidate-set files ------------------------------------------------------
 
 
-def _format_entry(entry: ActionModelEntry, names: Mapping[LiftedPredicateRef, str]) -> str:
-    def refs(lst: frozenset[LiftedPredicateRef]) -> str:
-        return " ".join(names[r] for r in sorted(lst))
-
-    return "(:candidate (:pre %s) (:add %s) (:del %s))" % (
-        refs(entry.pre), refs(entry.add), refs(entry.delete))
+def _joined_subsets(names: Sequence[str]) -> list[str]:
+    """The space-joined names of every subset of names, indexed by bitmask."""
+    texts = [""]
+    for name in names:
+        texts += [f"{text} {name}" if text else name for text in texts]
+    return texts
 
 
 def write_candidates(space: CandidateModelSpace) -> str:
     lines = ["(candidate-sets", f"  (:domain {space.schema.name})"]
     for cas in space.per_action:
-        names = {r: r.pretty() for r in cas.refs}
+        order = sorted(range(len(cas.refs)), key=cas.refs.__getitem__)
+        texts = _joined_subsets([cas.refs[j].pretty() for j in order])
+        lists = cas.masks([1 << order.index(j) for j in range(len(cas.refs))])[:3]
         lines.append(f"  (:action {cas.action}")
-        lines.append("    (:relevant %s)" % " ".join(names[r] for r in cas.refs))
+        lines.append("    (:relevant %s)" % " ".join(r.pretty() for r in cas.refs))
         lines.append(f"    (:count {len(cas)})")
-        for entry in cas.candidates:
-            lines.append("    " + _format_entry(entry, names))
+        lines.extend(f"    (:candidate (:pre {texts[p]}) (:add {texts[a]}) (:del {texts[d]}))"
+                     for p, a, d in zip(*(m.tolist() for m in lists)))
         lines.append("  )")
     lines.append(")")
     return "\n".join(lines) + "\n"
@@ -223,8 +262,9 @@ def read_candidates(text: str, schema: DomainSchema) -> CandidateModelSpace:
     The file must name the schema's domain and hold one section per
     action. Each :relevant ref must be a relevant ref of its action, each
     candidate ref must be listed in :relevant, each candidate has at most
-    one :pre, :add and :del list, and :count must equal the number of
-    candidates. Any violation raises a located ParseError.
+    one :pre, :add and :del list, no candidate is repeated, and :count
+    must equal the number of candidates. Any violation raises a located
+    ParseError.
     """
     root, sections = read_form(text, "candidate-sets", "candidate file")
     if not sections:
@@ -253,7 +293,7 @@ def read_candidates(text: str, schema: DomainSchema) -> CandidateModelSpace:
                 raise fail(node, f"repeated ref: {ref.pretty()}")
             listed[ref.predicate, ref.binding] = ref
         unlisted = f"in the :relevant list of {name}"
-        entries = []
+        entries: dict[ActionModelEntry, None] = {}
         for part in parts[3:]:
             key, items = split_form(part, "(:candidate ...)")
             if key != ":candidate":
@@ -268,14 +308,18 @@ def read_candidates(text: str, schema: DomainSchema) -> CandidateModelSpace:
                 lists[key] = frozenset(_read_ref(r, schema, positions, listed, unlisted)
                                        for r in refs)
             try:
-                entries.append(ActionModelEntry(name, *(lists.get(k, frozenset())
-                                                       for k in (":pre", ":add", ":del"))))
+                entry = ActionModelEntry(name, *(lists.get(k, frozenset())
+                                                 for k in (":pre", ":add", ":del")))
             except ValueError as exc:
                 raise fail(part, str(exc)) from None
+            if entry in entries:
+                raise fail(part, "repeated candidate")
+            entries[entry] = None
         count = read_name(parts[2], ":count", "count")
         if count != str(len(entries)):
             raise fail(parts[2], f"(:count {count}) but {name} has {len(entries)} candidates")
-        sets[name] = CandidateActionSet(name, tuple(listed.values()), tuple(entries))
+        sets[name] = CandidateActionSet(name, tuple(listed.values()), _REF_STATES,
+                                        np.array([])).listing(entries)
     try:
         return CandidateModelSpace(schema, tuple(sets.values()))
     except ValueError as exc:

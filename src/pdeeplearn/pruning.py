@@ -12,11 +12,11 @@ An entry is retained when it participates in at least one satisfying
 pairing with some candidate of some paired partner; actions outside all
 frequent pairs keep their full candidate sets. Each constraint asks a
 set of the candidate to meet a set of the partner, and some partner
-meets X iff the union over all partners does. So a first-side candidate
-is kept iff it satisfies C1..C3 against the column-wise union of the
-second action's unpruned candidates, and a second-side one against that
-of the first: one pass over each side of a pair instead of all m x n
-pairings, which are walked only to list witnesses.
+meets X iff the union over all partners does. Every candidate's
+predicate-name sets are bitmasks here, one bit per name, so the union
+over a partner's unpruned candidates is a bitwise OR and C1..C3 are
+three AND tests per candidate: one pass over each side of a pair instead
+of all m x n pairings, which are tested only to list witnesses.
 """
 
 from __future__ import annotations
@@ -24,11 +24,14 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .candidates import CandidateActionSet, CandidateModelSpace
-from .core import ActionModel, ActionModelEntry
+import numpy as np
+
+from .candidates import CandidateModelSpace
+from .core import ActionModel, ActionModelEntry, LiftedPredicateRef
 from .pddl import ProblemSpec
 from .tracegen import PlannerConfig, solves_unitary
 from .util import stream_rng
@@ -50,34 +53,6 @@ class PairConstraint(enum.Enum):
     DELETED_READDED = "C3"
 
 
-def _names(refs) -> frozenset[str]:
-    return frozenset(r.predicate for r in refs)
-
-
-def _row(entry: ActionModelEntry) -> tuple[frozenset[str], ...]:
-    """Predicate names of (pre - del, add, del, pre): what C1..C3 read."""
-    return (_names(entry.pre - entry.delete), _names(entry.add), _names(entry.delete),
-            _names(entry.pre))
-
-
-def _union_row(rows: Sequence[tuple[frozenset[str], ...]]) -> tuple[frozenset[str], ...]:
-    return tuple(frozenset().union(*(row[k] for row in rows)) for k in range(4))
-
-
-def _eval_constraints(first: tuple[frozenset[str], ...],
-                      second: tuple[frozenset[str], ...]) -> frozenset[PairConstraint]:
-    pre_first_kept, add_first, del_first, _ = first
-    _, add_second, _, pre_second = second
-    satisfied = set()
-    if pre_first_kept & pre_second:
-        satisfied.add(PairConstraint.SHARED_PRECONDITION)
-    if add_first & pre_second:
-        satisfied.add(PairConstraint.ADDED_PRECONDITION)
-    if del_first & add_second:
-        satisfied.add(PairConstraint.DELETED_READDED)
-    return frozenset(satisfied)
-
-
 def check_pair_constraints(
     first: ActionModelEntry, second: ActionModelEntry
 ) -> frozenset[PairConstraint]:
@@ -87,7 +62,12 @@ def check_pair_constraints(
     lifted refs, i.e. on the shared predicate name; C1 requires the shared
     ref on the first side to survive that action's del list.
     """
-    return _eval_constraints(_row(first), _row(second))
+    def names(refs) -> frozenset[str]:
+        return frozenset(r.predicate for r in refs)
+
+    return frozenset(itertools.compress(PairConstraint, (
+        names(first.pre - first.delete) & names(second.pre),
+        names(first.add) & names(second.pre), names(first.delete) & names(second.add))))
 
 
 @dataclass(frozen=True)
@@ -134,51 +114,45 @@ def prune_candidates(
     """Keep the candidates that satisfy C1..C3 against the union of the
     partner's unpruned set, exactly those with a satisfying partner (see
     the module docstring). pair_evaluations is the number of pairings this
-    decides, the sum of |CAS_i| x |CAS_j|; only collect_witnesses walks them.
+    decides, the sum of |CAS_i| x |CAS_j|; only collect_witnesses tests them.
 
     Raises PruningEmptiedAction if any action would end up with an empty
     candidate set (the generating model's own entries always survive on
     traces that model produced, so an empty set signals a real defect).
     """
-    prepared = {cas.action: [_row(e) for e in cas.candidates] for cas in space.per_action}
-    retained: dict[str, set[int]] = {}
-    evaluations = 0
-    witnesses: list[PairConstraintWitness] = []
-    for first_action, second_action in pairs:
-        firsts, seconds = prepared[first_action], prepared[second_action]
-        evaluations += len(firsts) * len(seconds)
-        any_first, any_second = _union_row(firsts), _union_row(seconds)
-        retained.setdefault(first_action, set()).update(
-            i for i, first in enumerate(firsts) if _eval_constraints(first, any_second))
-        retained.setdefault(second_action, set()).update(
-            j for j, second in enumerate(seconds) if _eval_constraints(any_first, second))
+    names = sorted({r.predicate for cas in space.per_action for r in cas.refs})
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    rows = {cas.action: cas.masks([bit[r.predicate] for r in cas.refs])
+            for cas in space.per_action}
+    retained: dict[str, np.ndarray] = {}
+    evaluations, witnesses = 0, []
+    for first, second in pairs:
+        (_, add, dele, kept), (pre_second, add_second, _, _) = rows[first], rows[second]
+        evaluations += len(kept) * len(pre_second)
+        any_kept, any_add, any_del, any_add_second, any_pre_second = (
+            np.bitwise_or.reduce(m) for m in (kept, add, dele, add_second, pre_second))
+        keep_first = (kept | add) & any_pre_second | dele & any_add_second
+        keep_second = (any_kept | any_add) & pre_second | any_del & add_second
+        retained[first] = retained.get(first, False) | (keep_first != 0)
+        retained[second] = retained.get(second, False) | (keep_second != 0)
         if collect_witnesses:
-            witnesses.extend(
-                PairConstraintWitness((first_action, second_action), i, j, satisfied)
-                for i, first in enumerate(firsts) for j, second in enumerate(seconds)
-                if (satisfied := _eval_constraints(first, second)))
+            satisfied = np.stack([kept[:, None] & pre_second, add[:, None] & pre_second,
+                                  dele[:, None] & add_second]) != 0
+            witnesses.extend(PairConstraintWitness(
+                (first, second), int(i), int(j),
+                frozenset(itertools.compress(PairConstraint, satisfied[:, i, j])))
+                for i, j in np.argwhere(satisfied.any(axis=0)))
 
     reduced_sets = []
-    initial_counts, final_counts = {}, {}
     for cas in space.per_action:
-        initial_counts[cas.action] = len(cas)
         if cas.action in retained:
-            keep = sorted(retained[cas.action])
-            if not keep:
+            if not retained[cas.action].any():
                 raise PruningEmptiedAction(cas.action)
-            reduced = CandidateActionSet(
-                cas.action, cas.refs, tuple(cas.candidates[i] for i in keep))
-        else:
-            reduced = cas
-        final_counts[cas.action] = len(reduced)
-        reduced_sets.append(reduced)
-
-    stats = PruneStats(evaluations, initial_counts, final_counts)
-    return PruneResult(
-        CandidateModelSpace(space.schema, tuple(reduced_sets)),
-        stats,
-        tuple(witnesses) if collect_witnesses else None,
-    )
+            cas = replace(cas, codes=cas.codes[retained[cas.action]])
+        reduced_sets.append(cas)
+    reduced = CandidateModelSpace(space.schema, tuple(reduced_sets))
+    return PruneResult(reduced, PruneStats(evaluations, space.counts(), reduced.counts()),
+                       tuple(witnesses) if collect_witnesses else None)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -209,9 +183,7 @@ class SampledModelSet:
 
 
 def _assemble(space: CandidateModelSpace, indices: tuple[int, ...]) -> ActionModel:
-    entries = tuple(
-        cas.candidates[i] for cas, i in zip(space.per_action, indices)
-    )
+    entries = tuple(cas.entry(i) for cas, i in zip(space.per_action, indices))
     return ActionModel(space.schema, entries)
 
 
@@ -242,12 +214,8 @@ def sample_models(
     if budget <= 0:
         raise ValueError("budget must be positive")
     sizes = [len(cas) for cas in space.per_action]
-    total = 1
-    for s in sizes:
-        total *= s
-
-    picked: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
+    survivors: list[tuple[tuple[int, ...], ActionModel]] = []
     reference_tuple: Optional[tuple[int, ...]] = None
     if include_reference:
         if reference is None:
@@ -255,14 +223,10 @@ def sample_models(
         reference_tuple = _reference_indices(space, reference)
         if not solves_unitary(reference, unitary, cfg):
             raise NoViableModels("the reference model itself fails the unitary problem")
-        picked.append(reference_tuple)
         seen.add(reference_tuple)
+        survivors.append((reference_tuple, reference))
 
-    survivors: list[tuple[tuple[int, ...], ActionModel]] = []
-    if reference_tuple is not None:
-        survivors.append((reference_tuple, reference))  # type: ignore[arg-type]
-
-    if total <= budget:
+    if math.prod(sizes) <= budget:
         for indices in itertools.product(*(range(s) for s in sizes)):
             if indices in seen:
                 continue
@@ -302,23 +266,17 @@ def sample_models(
 
 def manifest_load(text: str, schema) -> SampledModelSet:
     """Rebuild a sampled model set from its JSON manifest."""
-    from .core import LiftedPredicateRef
-
     payload = json.loads(text)
     models = []
     for m in payload["models"]:
-        entries = []
-        for action, lists in m["entries"].items():
-            as_refs = {
-                key: frozenset(LiftedPredicateRef(name, tuple(binding))
-                               for name, binding in lists[key])
-                for key in ("pre", "add", "del")
-            }
-            entries.append(ActionModelEntry(action, as_refs["pre"], as_refs["add"],
-                                            as_refs["del"]))
+        entries = tuple(
+            ActionModelEntry(action, *(frozenset(LiftedPredicateRef(name, tuple(binding))
+                                                 for name, binding in lists[key])
+                                       for key in ("pre", "add", "del")))
+            for action, lists in m["entries"].items())
         models.append(SampledModel(
             model_id=m["id"],
-            model=ActionModel(schema, tuple(entries)),
+            model=ActionModel(schema, entries),
             candidate_indices=tuple(m["candidate_indices"]),
             is_reference=m["is_reference"],
         ))
@@ -336,11 +294,9 @@ def manifest_json(sampled: SampledModelSet, space: CandidateModelSpace) -> str:
                 "candidate_indices": list(m.candidate_indices),
                 "is_reference": m.is_reference,
                 "entries": {
-                    e.action: {
-                        "pre": [[r.predicate, list(r.binding)] for r in sorted(e.pre)],
-                        "add": [[r.predicate, list(r.binding)] for r in sorted(e.add)],
-                        "del": [[r.predicate, list(r.binding)] for r in sorted(e.delete)],
-                    }
+                    e.action: {key: [[r.predicate, list(r.binding)] for r in sorted(refs)]
+                               for key, refs in (("pre", e.pre), ("add", e.add),
+                                                 ("del", e.delete))}
                     for e in m.model.entries
                 },
             }

@@ -1,5 +1,7 @@
 """Candidate-space tests: relevance bindings, the count law, membership."""
 
+import itertools
+
 import pytest
 
 from pdeeplearn import candidates as cand
@@ -77,7 +79,7 @@ def test_count_law_matches_brute_force(k):
     cas = cand.enumerate_candidates(action, refs)
     assert len(cas) == _brute_force_count(k)
     assert len(cas) == 5 ** k
-    assert len(set(cas.candidates)) == len(cas)
+    assert len(set(cas)) == len(cas)
 
 
 def test_single_ref_yields_exactly_the_five_triples():
@@ -91,13 +93,39 @@ def test_single_ref_yields_exactly_the_five_triples():
         make_entry("act", pre=refs),
         make_entry("act", pre=refs, delete=refs),
     }
-    assert set(cas.candidates) == expected
+    assert set(cas) == expected
 
 
 def test_zero_refs_yield_single_empty_candidate():
     cas = cand.enumerate_candidates(ActionSignature("act", ()), ())
     assert len(cas) == 1
-    assert cas.candidates[0].total_predicates == 0
+    assert cas.entry(0).total_predicates == 0
+
+
+@pytest.mark.parametrize("strict_del", [False, True])
+def test_codes_list_candidates_in_product_order(strict_del):
+    # Oracle: the per-entry loop over itertools.product that codes replaced.
+    action = ActionSignature("act", ("t0", "t1", "t2"))
+    refs = (Ref("p", (0,)), Ref("p", (2,)), Ref("q", (1,)))
+    states = [s for s in cand._REF_STATES if not (strict_del and s == (False, False, True))]
+    expected = [make_entry("act", *([r for r, s in zip(refs, assignment) if s[k]]
+                                    for k in range(3)))
+                for assignment in itertools.product(states, repeat=len(refs))]
+    cas = cand.enumerate_candidates(action, refs, strict_del)
+    assert list(cas) == expected
+    assert [cas.index_of(e) for e in expected] == list(range(len(expected)))
+    assert cas.listing(reversed(expected)).codes.tolist() == list(range(len(cas)))[::-1]
+    if strict_del:
+        assert make_entry("act", delete=refs[:1]) not in cas
+
+
+def test_masks_hold_bits_beyond_int64():
+    refs = (Ref("p", (0,)), Ref("q", (1,)))
+    cas = cand.enumerate_candidates(ActionSignature("act", ("t0", "t1")), refs)
+    bits = dict(zip(refs, (1 << 70, 1 << 3)))
+    expected = [[sum(bits[r] for r in lst) for lst in (e.pre, e.add, e.delete, e.pre - e.delete)]
+                for e in cas]
+    assert cas.masks(list(bits.values())).T.tolist() == expected
 
 
 def test_strict_del_count_law():
@@ -163,7 +191,7 @@ def test_candidate_file_round_trip(gripper):
     back = cand.read_candidates(text, schema)
     assert back.counts() == space.counts()
     for cas, cas2 in zip(space.per_action, back.per_action):
-        assert cas.candidates == cas2.candidates
+        assert list(cas) == list(cas2)
         assert cas.refs == cas2.refs
 
 
@@ -203,6 +231,8 @@ def gripper_file(gripper):
     (6, "(:del )", "(:add )", "repeated candidate list: :add"),
     (6, "(:add ) (:del )", "(:add (free 0 3)) (:del (free 0 3))", "add and del lists intersect"),
     (6, "(:candidate", "(:candidates", "expected (:candidate"),
+    # The :count stays right: move's second candidate becomes its first.
+    (636, "(:del (at-robby 0 2))", "(:del )", "repeated candidate"),
 ])
 def test_candidate_file_rule_violations_are_located(gripper, gripper_file, line, old, new,
                                                     message):

@@ -247,7 +247,7 @@ def test_compiled_table_matches_is_applicable_and_apply(name):
     space = cand.build_space(schema)
     rng = random.Random(11)
     models = [reference] + [
-        ActionModel(schema, tuple(rng.choice(cas.candidates) for cas in space.per_action))
+        ActionModel(schema, tuple(rng.choice(list(cas)) for cas in space.per_action))
         for _ in range(20)
     ]
     traces = generate_traces(_spec(info, 3, 4), reference, PlannerConfig(rng_seed=4),

@@ -1,8 +1,10 @@
 """Pair-constraint and sampling tests, including the worked C3 example
 and reference survival on every shipped domain."""
 
+import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,7 +24,7 @@ from pdeeplearn.pruning import (
     prune_candidates,
     sample_models,
 )
-from pdeeplearn.pipeline import shipped_config
+from pdeeplearn.pipeline import generate, load, mine, sample, shipped_config
 from pdeeplearn.tracegen import GenerationSpec, PlannerConfig, doubling_schedule, generate_traces
 
 
@@ -80,7 +82,7 @@ def test_empty_pair_list_is_a_no_op(gripper):
     assert result.stats.final_counts == result.stats.initial_counts
     assert result.stats.pair_evaluations == 0
     for before, after in zip(space.per_action, result.space.per_action):
-        assert before.candidates == after.candidates
+        assert list(before) == list(after)
 
 
 def test_pair_evaluation_count_is_exactly_m_times_n(gripper):
@@ -98,7 +100,7 @@ def test_pruning_is_monotone_and_preserves_reference(gripper):
     space = cand.build_space(schema)
     result = prune_candidates(space, [("pick", "move"), ("drop", "move")])
     for before, after in zip(space.per_action, result.space.per_action):
-        assert set(after.candidates) <= set(before.candidates)
+        assert set(after) <= set(before)
     assert cand.contains_reference(result.space, model)
     # golden counts for the shipped gripper encoding
     assert result.stats.final_counts == {"drop": 500, "move": 21, "pick": 500}
@@ -109,7 +111,7 @@ def test_untouched_actions_pass_through(gripper):
     _, schema, _, _ = gripper
     space = cand.build_space(schema)
     result = prune_candidates(space, [("pick", "move")])
-    assert result.space.for_action("drop").candidates == space.for_action("drop").candidates
+    assert list(result.space.for_action("drop")) == list(space.for_action("drop"))
 
 
 def test_reference_survives_pruning_on_generated_traces_all_domains():
@@ -136,8 +138,7 @@ def test_pruning_that_empties_an_action_raises():
     # A pair whose actions share no predicate names empties both sides.
     schema, _, _ = get_domain("kiln").load()
     space = cand.build_space(schema)
-    impossible = cand.CandidateActionSet(
-        "glaze", space.for_action("glaze").refs, (make_entry("glaze"),))
+    impossible = space.for_action("glaze").listing([make_entry("glaze")])
     crippled = cand.CandidateModelSpace(
         schema, tuple(impossible if c.action == "glaze" else c for c in space.per_action))
     with pytest.raises(PruningEmptiedAction) as err:
@@ -151,14 +152,14 @@ def test_witnesses_collected_on_demand(gripper):
     small_sets = []
     for c in space.per_action:
         ref_entry = model.entry(c.action)
-        keep = (ref_entry,) + tuple(e for e in c.candidates if e != ref_entry)[:4]
-        small_sets.append(cand.CandidateActionSet(c.action, c.refs, keep))
+        keep = (ref_entry,) + tuple(e for e in c if e != ref_entry)[:4]
+        small_sets.append(c.listing(keep))
     small = cand.CandidateModelSpace(schema, tuple(small_sets))
     result = prune_candidates(small, [("pick", "move")], collect_witnesses=True)
     assert result.witnesses
     for witness in result.witnesses:
-        first = small.for_action("pick").candidates[witness.first_index]
-        second = small.for_action("move").candidates[witness.second_index]
+        first = small.for_action("pick").entry(witness.first_index)
+        second = small.for_action("move").entry(witness.second_index)
         assert check_pair_constraints(first, second) == witness.satisfied
 
 
@@ -180,8 +181,8 @@ def test_exhaustive_mode_screens_the_whole_product(gripper):
     small_sets = []
     for cas in space.per_action:
         ref_entry = model.entry(cas.action)
-        keep = [ref_entry] + [e for e in cas.candidates[:3] if e != ref_entry]
-        small_sets.append(cand.CandidateActionSet(cas.action, cas.refs, tuple(keep)))
+        keep = [ref_entry] + [e for e in map(cas.entry, range(3)) if e != ref_entry]
+        small_sets.append(cas.listing(keep))
     small = cand.CandidateModelSpace(schema, tuple(small_sets))
     assert cand.space_size(small) <= 64
     sampled = sample_models(small, unitary, PlannerConfig(), budget=64, rng_seed=0,
@@ -200,8 +201,7 @@ def test_unviable_models_are_excluded(gripper):
     space = cand.build_space(schema)
     inert_sets = []
     for cas in space.per_action:
-        inert_sets.append(cand.CandidateActionSet(cas.action, cas.refs,
-                                                  (make_entry(cas.action),)))
+        inert_sets.append(cas.listing([make_entry(cas.action)]))
     inert = cand.CandidateModelSpace(schema, tuple(inert_sets))
     with pytest.raises(NoViableModels):
         sample_models(inert, unitary, PlannerConfig(), budget=5, rng_seed=0)
@@ -261,7 +261,7 @@ def _oracle_prune(space, pairs):
         return frozenset(r.predicate for r in refs)
 
     rows = {cas.action: [(names(e.pre - e.delete), names(e.add), names(e.delete), names(e.pre))
-                         for e in cas.candidates]
+                         for e in cas]
             for cas in space.per_action}
     retained, evaluations = {}, 0
     for first_action, second_action in pairs:
@@ -278,8 +278,7 @@ def _oracle_prune(space, pairs):
         if cas.action in retained:
             if not retained[cas.action]:
                 raise PruningEmptiedAction(cas.action)
-            cas = cand.CandidateActionSet(
-                cas.action, cas.refs, tuple(cas.candidates[i] for i in sorted(retained[cas.action])))
+            cas = cas.listing(cas.entry(i) for i in sorted(retained[cas.action]))
         reduced.append(cas)
     stats = PruneStats(evaluations, space.counts(), {c.action: len(c) for c in reduced})
     return cand.CandidateModelSpace(space.schema, tuple(reduced)), stats
@@ -320,8 +319,8 @@ def _random_subspace(rng, space):
     sets = []
     for cas in space.per_action:
         size = rng.choice((0, 1, 2, 3, 8, 30, 80))
-        picked = rng.sample(cas.candidates, min(size, len(cas)))
-        sets.append(cand.CandidateActionSet(cas.action, cas.refs, tuple(picked)))
+        picked = rng.sample(list(cas), min(size, len(cas)))
+        sets.append(cas.listing(picked))
     return cand.CandidateModelSpace(space.schema, tuple(sets))
 
 
@@ -394,8 +393,8 @@ def test_witness_indices_are_exactly_the_kept_indices(shipped_spaces):
                                           collect_witnesses=True)
             except PruningEmptiedAction:
                 continue
-            kept = {a: set(map(subspace.for_action(a).candidates.index,
-                               result.space.for_action(a).candidates))
+            kept = {a: set(map(list(subspace.for_action(a)).index,
+                               result.space.for_action(a)))
                     for a in (first, second)}
             firsts = {w.first_index for w in result.witnesses}
             seconds = {w.second_index for w in result.witnesses}
@@ -406,5 +405,56 @@ def test_witness_indices_are_exactly_the_kept_indices(shipped_spaces):
             for w in result.witnesses:
                 assert w.pair == (first, second)
                 assert w.satisfied == check_pair_constraints(
-                    subspace.for_action(first).candidates[w.first_index],
-                    subspace.for_action(second).candidates[w.second_index])
+                    subspace.for_action(first).entry(w.first_index),
+                    subspace.for_action(second).entry(w.second_index))
+
+
+# sha256 of candidates.sexp, pruned.sexp and models.json as run_pipeline
+# writes them for each shipped config, its seed and sample_seed shifted by
+# 0 and 1000. Pinned while candidate sets were still materialized entries:
+# any change in candidate order, file text or sampling changes them.
+GOLDEN_FRONTEND_DIGESTS = {
+    ("gripper", 0): (
+        "3543c96f0bc3ed96865d725a6ef73c65910ae1b2024d01d8fd6e6dffe5f0b0c6",
+        "3d7a95d31d3f0347c03266de7a25513ac822d11361b7bd2cc5154e9be6c3e48b",
+        "0ea512a0cc61252926436cdc484973131f1a2267176471586adcbc0a7b8d2588",
+    ),
+    ("gripper", 1000): (
+        "3543c96f0bc3ed96865d725a6ef73c65910ae1b2024d01d8fd6e6dffe5f0b0c6",
+        "9c3c32c35a42f872f33e5b513a680c1fb25bcacd6a3e8e30a44c0514f1dd6d9f",
+        "50a67fc9241335818f401e8c808a7c0f1f8d3c212b45988476ebbe87c023e65b",
+    ),
+    ("kiln", 0): (
+        "7c13c3b6a9163a08baf6e6f9641735a977639d98ff23d0d33ada53acd55aa002",
+        "5aa42a318d3cbd6631d1faafa1b38e4bb64a1d294e9e125668c1a085c8e5fed4",
+        "7288605cc01dc47803b215fa20b3e4bcdfdd191055d10925e98b96fe91a461db",
+    ),
+    ("kiln", 1000): (
+        "7c13c3b6a9163a08baf6e6f9641735a977639d98ff23d0d33ada53acd55aa002",
+        "5aa42a318d3cbd6631d1faafa1b38e4bb64a1d294e9e125668c1a085c8e5fed4",
+        "b166c44ad413ef120f999957bc2d07761f56b7895a8b156ebc954b2af3593eff",
+    ),
+    ("battery", 0): (
+        "944be5f77155eeee01888ca03e5a9a2e4ef984cf1066f5b79bdcc05eadd73ed7",
+        "fac3e670f151d6cc8691b7da60ca2ad869ecf047336f0a0f22173535f784f5e0",
+        "c5774bceb447e6aa327b654baf3344ab32746c0137f0739df34685b2f006b78c",
+    ),
+    ("battery", 1000): (
+        "944be5f77155eeee01888ca03e5a9a2e4ef984cf1066f5b79bdcc05eadd73ed7",
+        "fac3e670f151d6cc8691b7da60ca2ad869ecf047336f0a0f22173535f784f5e0",
+        "5a07fb0448e6d5accf721a703dbb01be630b07fb145f653bcc6108d0c3e961e1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,shift", sorted(GOLDEN_FRONTEND_DIGESTS))
+def test_shipped_frontend_artifacts_match_golden_digests(name, shift):
+    config = shipped_config(name)
+    config = replace(config, seed=config.seed + shift, sample_seed=config.sample_seed + shift)
+    domain = load(config)
+    space = cand.build_space(domain.schema, config.strict_del, config.max_relevant)
+    pruned = prune_candidates(space, frequent_pairs(mine(config, generate(config, domain)))).space
+    texts = (cand.write_candidates(space), cand.write_candidates(pruned),
+             manifest_json(sample(config, domain, pruned), pruned))
+    digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in texts)
+    assert digests == GOLDEN_FRONTEND_DIGESTS[name, shift]
