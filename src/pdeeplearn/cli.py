@@ -21,6 +21,7 @@ from .pipeline import (PhaseError, PipelineConfig, generate, load, mine, parse_c
                        run_pipeline, sample, save_folds)
 from .pruning import manifest_json, manifest_load, prune_candidates
 from .scoring import score_models, scores_json, train_folds
+from .tracegen import STRATEGIES
 
 
 class CliError(RuntimeError):
@@ -161,12 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate traces with the reference model")
     p.add_argument("--domain", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=int, default=PipelineConfig.trace_count)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--catalog", type=int, default=0, help="cycle through N distinct problems")
-    p.add_argument("--strategy", default="breadth-first",
-                   choices=("breadth-first", "greedy-by-goal-count"))
-    p.add_argument("--max-expansions", type=int, default=100_000)
+    p.add_argument("--strategy", default=PipelineConfig.strategy, choices=STRATEGIES)
+    p.add_argument("--max-expansions", type=int, default=PipelineConfig.max_expansions)
     p.add_argument("--unitary", default="")
     p.set_defaults(func=_cmd_generate)
 
@@ -174,16 +174,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--strict-del", action="store_true")
-    p.add_argument("--max-rel", type=int, default=16)
+    p.add_argument("--max-rel", type=int, default=PipelineConfig.max_relevant)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("mine", help="mine sequential rules and stability")
     p.add_argument("--traces", required=True)
     p.add_argument("--domain", default="")
-    p.add_argument("--min-support", default="0.4")
-    p.add_argument("--min-confidence", default="0.6")
+    p.add_argument("--min-support", default=PipelineConfig.min_support)
+    p.add_argument("--min-confidence", default=PipelineConfig.min_confidence)
     p.add_argument("--schedule", default="")
-    p.add_argument("--tolerance", default="0.1")
+    p.add_argument("--tolerance", default=PipelineConfig.stability_tolerance)
     p.add_argument("--out", required=True, help="rules JSON output")
     p.add_argument("--out-text", default="")
     p.set_defaults(func=_cmd_mine)
@@ -199,12 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", required=True)
     p.add_argument("--domain", required=True)
     p.add_argument("--unitary", default="")
-    p.add_argument("--budget", type=int, default=50)
+    p.add_argument("--budget", type=int, default=PipelineConfig.budget)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--include-reference", action="store_true")
-    p.add_argument("--strategy", default="breadth-first",
-                   choices=("breadth-first", "greedy-by-goal-count"))
-    p.add_argument("--max-expansions", type=int, default=100_000)
+    p.add_argument("--strategy", default=PipelineConfig.strategy, choices=STRATEGIES)
+    p.add_argument("--max-expansions", type=int, default=PipelineConfig.max_expansions)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
@@ -213,12 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--traces", required=True)
         p.add_argument("--domain", default="")
-        p.add_argument("--hidden", type=int, default=128)
-        p.add_argument("--dropout", type=float, default=0.8)
-        p.add_argument("--epochs", type=int, default=10)
-        p.add_argument("--folds", type=int, default=5)
+        p.add_argument("--hidden", type=int, default=PipelineConfig.hidden_units)
+        p.add_argument("--dropout", type=float, default=PipelineConfig.dropout)
+        p.add_argument("--epochs", type=int, default=PipelineConfig.epochs)
+        p.add_argument("--folds", type=int, default=PipelineConfig.folds)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--lr", type=float, default=1e-3)
+        p.add_argument("--lr", type=float, default=PipelineConfig.learning_rate)
         p.add_argument("--init-gain", type=float, default=PipelineConfig.init_gain)
         if name == "train":
             p.add_argument("--out-dir", required=True)

@@ -242,27 +242,8 @@ class GroundAtom:
         return "(%s)" % " ".join((self.predicate,) + self.args)
 
 
-@dataclass(frozen=True)
-class State:
-    """A set of ground positive atoms under the closed-world assumption."""
-
-    atoms: frozenset[GroundAtom]
-
-    def __contains__(self, atom: GroundAtom) -> bool:
-        return atom in self.atoms
-
-    def __iter__(self) -> Iterator[GroundAtom]:
-        return iter(self.atoms)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    def sorted_atoms(self) -> tuple[GroundAtom, ...]:
-        return tuple(sorted(self.atoms))
-
-
-def make_state(atoms: Iterable[GroundAtom]) -> State:
-    return State(frozenset(atoms))
+# A set of ground positive atoms under the closed-world assumption.
+State = frozenset[GroundAtom]
 
 
 @dataclass(frozen=True, order=True)
@@ -297,7 +278,7 @@ class PlanTrace:
             raise ValueError("trace must alternate s0, a1, ..., an, g with >= 1 action")
         for i, step in enumerate(self.steps):
             want_state = i % 2 == 0
-            if want_state and not isinstance(step, State):
+            if want_state and not isinstance(step, frozenset):
                 raise ValueError(f"trace step {i} must be a state")
             if not want_state and not isinstance(step, GroundAction):
                 raise ValueError(f"trace step {i} must be an action")
@@ -338,7 +319,7 @@ def ground_entry(
 def is_applicable(state: State, ga: GroundAction, model: ActionModel) -> bool:
     """True iff every grounded precondition of ga under model holds in state."""
     entry = model.entry(ga.action)
-    return all(r.ground(ga.args) in state.atoms for r in entry.pre)
+    return all(r.ground(ga.args) in state for r in entry.pre)
 
 
 def apply(state: State, ga: GroundAction, model: ActionModel) -> State:
@@ -348,9 +329,9 @@ def apply(state: State, ga: GroundAction, model: ActionModel) -> State:
     input state is never modified.
     """
     pre, add, dele = ground_entry(model.entry(ga.action), ga.args)
-    if not pre <= state.atoms:
+    if not pre <= state:
         raise PreconditionViolation(f"{ga.pretty()} is not applicable")
-    return State((state.atoms - dele) | add)
+    return (state - dele) | add
 
 
 def first_mismatch(trace: PlanTrace, model: ActionModel) -> Optional[str]:
@@ -361,8 +342,8 @@ def first_mismatch(trace: PlanTrace, model: ActionModel) -> Optional[str]:
         except PreconditionViolation:
             return f"step {i}: {ga.pretty()} not applicable"
         if successor != after:
-            extra = sorted(a.pretty() for a in after.atoms - successor.atoms)
-            missing = sorted(a.pretty() for a in successor.atoms - after.atoms)
+            extra = sorted(a.pretty() for a in after - successor)
+            missing = sorted(a.pretty() for a in successor - after)
             return f"step {i}: successor mismatch (extra={extra}, missing={missing})"
     return None
 

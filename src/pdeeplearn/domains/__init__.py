@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from ..core import ActionModel, DomainSchema, GroundAtom, State, make_state
+from ..core import ActionModel, DomainSchema, GroundAtom, State
 from ..pddl import ProblemSpec, parse_domain, parse_problem
 
 Ranges = Mapping[str, tuple[int, int]]
@@ -48,7 +48,7 @@ def _sample_gripper(rng: np.random.Generator, ranges: Ranges) -> tuple[dict[str,
         atoms.append(GroundAtom("free", (rob, g)))
     for b in balls:
         atoms.append(GroundAtom("at", (b, rooms[int(rng.integers(len(rooms)))])))
-    return objects, make_state(atoms)
+    return objects, frozenset(atoms)
 
 
 _KILN_PHASES = ("raw", "shaped", "fired", "glazed")
@@ -63,7 +63,7 @@ def _sample_kiln(rng: np.random.Generator, ranges: Ranges) -> tuple[dict[str, st
         # Every piece sits at exactly one workflow phase.
         phase = _KILN_PHASES[int(rng.integers(len(_KILN_PHASES)))]
         atoms.append(GroundAtom(phase, (p,)))
-    return objects, make_state(atoms)
+    return objects, frozenset(atoms)
 
 
 def _sample_battery(rng: np.random.Generator, ranges: Ranges) -> tuple[dict[str, str], State]:
@@ -81,7 +81,7 @@ def _sample_battery(rng: np.random.Generator, ranges: Ranges) -> tuple[dict[str,
             atoms.append(GroundAtom("docked", (b, sockets[int(rng.integers(len(sockets)))])))
         else:
             atoms.append(GroundAtom("loose", (b,)))
-    return objects, make_state(atoms)
+    return objects, frozenset(atoms)
 
 
 @dataclass(frozen=True)

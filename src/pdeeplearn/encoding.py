@@ -152,10 +152,10 @@ def encode_training(
     for t, (before, ga, after) in enumerate(trace.transitions()):
         rows[t, slots[t]] = 1.0
         offset = layout.block_offset(ga.action)
-        introduced = after.atoms - before.atoms
+        introduced = after - before
         for k, ref in enumerate(layout.block(ga.action)):
             atom = ref.ground(ga.args)
-            if atom in before.atoms or atom in introduced:
+            if atom in before or atom in introduced:
                 rows[t, offset + k] = 1.0
     return encode_rows(rows, slots, layout, pad_len)
 

@@ -33,7 +33,6 @@ from .core import (
     PlanTrace,
     PredicateSchema,
     State,
-    make_state,
 )
 
 
@@ -388,7 +387,7 @@ def parse_problem(text: str, schema: DomainSchema) -> ProblemSpec:
         name=pname,
         domain=schema.name,
         objects=tuple(sorted(objects.values())),
-        init=make_state(init),
+        init=frozenset(init),
         goal=frozenset(goal),
     )
 
@@ -431,7 +430,7 @@ def _parse_trace(top: SExpr, sections: tuple[SExpr, ...], schema: DomainSchema) 
         elif head == ":init":
             if stage != "header":
                 raise fail(section, "(:init ...) must come before any action")
-            steps.append(make_state(_ground_atoms(items, predicates, objects)))
+            steps.append(frozenset(_ground_atoms(items, predicates, objects)))
             stage = "after-state"
         elif head == "action":
             if stage != "after-state":
@@ -443,7 +442,7 @@ def _parse_trace(top: SExpr, sections: tuple[SExpr, ...], schema: DomainSchema) 
         elif head in ("state", ":goal"):
             if stage != "after-action":
                 raise fail(section, "state block must follow an action")
-            steps.append(make_state(_ground_atoms(items, predicates, objects)))
+            steps.append(frozenset(_ground_atoms(items, predicates, objects)))
             stage = "done" if head == ":goal" else "after-state"
         else:
             raise fail(section, f"unknown trace section: {head!r}")
@@ -515,7 +514,7 @@ def serialize_problem(problem: ProblemSpec) -> str:
     lines = [f"(define (problem {problem.name})"]
     lines.append(f"  (:domain {problem.domain})")
     lines.append("  " + _format_objects(problem.objects))
-    lines.append("  (:init %s)" % " ".join(a.pretty() for a in sorted(problem.init.atoms)))
+    lines.append("  (:init %s)" % " ".join(a.pretty() for a in sorted(problem.init)))
     lines.append("  (:goal (and %s))" % " ".join(a.pretty() for a in sorted(problem.goal)))
     lines.append(")")
     return "\n".join(lines) + "\n"
@@ -527,13 +526,13 @@ def serialize_traces(traces: Iterable[PlanTrace], domain_name: str) -> str:
         lines = ["(trace"]
         lines.append(f"  (:domain {domain_name})")
         lines.append("  " + _format_objects(trace.objects))
-        lines.append("  (:init %s)" % " ".join(a.pretty() for a in trace.initial_state.sorted_atoms()))
+        lines.append("  (:init %s)" % " ".join(a.pretty() for a in sorted(trace.initial_state)))
         steps = trace.steps
         for i in range(1, len(steps), 2):
             action = steps[i]
             state = steps[i + 1]
             lines.append(f"  (action {action.pretty()})")
-            body = " ".join(a.pretty() for a in state.sorted_atoms())
+            body = " ".join(a.pretty() for a in sorted(state))
             key = ":goal" if i + 1 == len(steps) - 1 else "state"
             lines.append(f"  ({key} {body})")
         lines.append(")")

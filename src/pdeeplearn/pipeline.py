@@ -140,7 +140,8 @@ class PipelineConfig:
 
 
 def parse_config(text: str) -> PipelineConfig:
-    """Flat key = value file; '#' and ';' start comments."""
+    """Flat key = value file; '#' and ';' start comments. A bad line, key
+    or value, or a repeated key, raises a ValueError naming the line."""
     values: dict = {}
     defaults = {f.name: f.default for f in fields(PipelineConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -154,25 +155,30 @@ def parse_config(text: str) -> PipelineConfig:
         value = value.strip()
         if key not in defaults:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"config line {lineno}: repeated key {key!r}")
         kind = type(defaults[key])
-        if kind is bool:
-            if value.lower() not in ("true", "false", "yes", "no", "1", "0"):
-                raise ValueError(f"config line {lineno}: bad boolean {value!r}")
-            values[key] = value.lower() in ("true", "yes", "1")
-        elif kind in (int, float):
-            values[key] = kind(value)
-        elif key == "schedule":
-            values[key] = tuple(int(v) for v in value.split(",") if v.strip()) if value else ()
-        elif key == "object_ranges":
-            ranges = []
-            if value:
-                for part in value.split(","):
-                    name, _, span = part.strip().partition(":")
-                    lo, _, hi = span.partition("-")
-                    ranges.append((name.strip(), int(lo), int(hi or lo)))
-            values[key] = tuple(ranges)
-        else:
-            values[key] = value
+        try:
+            if kind is bool:
+                if value.lower() not in ("true", "false", "yes", "no", "1", "0"):
+                    raise ValueError(f"bad boolean {value!r}")
+                values[key] = value.lower() in ("true", "yes", "1")
+            elif kind in (int, float):
+                values[key] = kind(value)
+            elif key == "schedule":
+                values[key] = tuple(int(v) for v in value.split(",") if v.strip()) if value else ()
+            elif key == "object_ranges":
+                ranges = []
+                if value:
+                    for part in value.split(","):
+                        name, _, span = part.strip().partition(":")
+                        lo, _, hi = span.partition("-")
+                        ranges.append((name.strip(), int(lo), int(hi or lo)))
+                values[key] = tuple(ranges)
+            else:
+                values[key] = value
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {key}: {exc}") from None
     return PipelineConfig(**values)
 
 

@@ -3,11 +3,13 @@ actions, random solvable problems, and state-action interleaved traces.
 
 Plans are found by breadth-first search (shortest) or greedy search on the
 number of unsatisfied goal atoms, over the (action, pre, add, del) rows of
-compile_actions, the one place that grounds a model. generate_traces
-compiles each object set of its corpus once; the goal walk, the search and
-replay all read that table. Random problems come from a per-domain
-configuration sampler plus a seeded random walk that picks a reachable
-goal, so generation never stalls on unsolvable instances.
+compile_actions, the one place that grounds a model. States are plain
+frozensets of ground atoms (core.State). generate_traces compiles each
+object set of its corpus once; the goal walk and the search both read
+that table, and each trace is the search's own path: its actions and the
+states it reached, with no second execution. Random problems come from a
+per-domain configuration sampler plus a seeded random walk that picks a
+reachable goal, so generation never stalls on unsolvable instances.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from .core import (
     ActionModel,
     DomainSchema,
     GroundAction,
-    GroundAtom,
     PlanTrace,
-    PreconditionViolation,
     State,
     ground_entry,
 )
@@ -34,6 +34,11 @@ from .pddl import ProblemSpec
 from .util import stream_rng
 
 STRATEGIES = ("breadth-first", "greedy-by-goal-count")
+# Problems sample_problem may draw for one trace index before
+# generate_traces gives up on it.
+MAX_RETRIES = 20
+# Inclusive bounds on the length of the goal walk.
+WALK_RANGE = (3, 12)
 
 
 class GenerationError(RuntimeError):
@@ -55,9 +60,13 @@ class PlannerConfig:
 
 @dataclass(frozen=True)
 class PlanResult:
+    """A search's outcome. When a plan is found, states holds the
+    len(actions) + 1 states it passes through, init first."""
+
     actions: Optional[tuple[GroundAction, ...]]
     expansions: int
     exhausted: bool
+    states: tuple[State, ...] = ()
 
     @property
     def found(self) -> bool:
@@ -120,8 +129,7 @@ def ground_actions(schema: DomainSchema, objects: Mapping[str, str]) -> tuple[Gr
     return tuple(out)
 
 
-Atoms = frozenset[GroundAtom]
-CompiledAction = tuple[GroundAction, Atoms, Atoms, Atoms]
+CompiledAction = tuple[GroundAction, State, State, State]
 
 
 def compile_actions(model: ActionModel, objects: Mapping[str, str]) -> tuple[CompiledAction, ...]:
@@ -139,19 +147,20 @@ def compile_actions(model: ActionModel, objects: Mapping[str, str]) -> tuple[Com
 def plan(problem: ProblemSpec, table: Sequence[CompiledAction], cfg: PlannerConfig) -> PlanResult:
     """Search table's rows for an action sequence from init to a state
     containing goal; table is compile_actions(model, problem's objects)."""
-    init, goal = problem.init.atoms, problem.goal
+    init, goal = problem.init, problem.goal
     if goal <= init:
-        return PlanResult((), 0, False)
+        return PlanResult((), 0, False, (init,))
 
     # One best-first search: the heap pops by (priority, insertion count),
     # so breadth-first, whose priority is constant, pops in FIFO order.
+    # parent maps each reached state to the (state, action) it came from.
     greedy = cfg.strategy == "greedy-by-goal-count"
     counter = itertools.count()
-    frontier = [(len(goal - init) if greedy else 0, next(counter), init, ())]
-    seen = {init}
+    frontier = [(len(goal - init) if greedy else 0, next(counter), init)]
+    parent: dict[State, Optional[tuple[State, GroundAction]]] = {init: None}
     expansions = 0
     while frontier:
-        _, _, state, path = heappop(frontier)
+        _, _, state = heappop(frontier)
         if expansions >= cfg.max_expansions:
             return PlanResult(None, expansions, True)
         expansions += 1
@@ -159,15 +168,25 @@ def plan(problem: ProblemSpec, table: Sequence[CompiledAction], cfg: PlannerConf
             if not pre <= state:
                 continue
             successor = (state - dele) | add
-            if successor in seen:
+            if successor in parent:
                 continue
-            seen.add(successor)
-            new_path = path + (ga,)
+            parent[successor] = (state, ga)
             if goal <= successor:
-                return PlanResult(new_path, expansions, False)
+                return _path_to(successor, parent, expansions)
             heappush(frontier, (len(goal - successor) if greedy else 0, next(counter),
-                                successor, new_path))
+                                successor))
     return PlanResult(None, expansions, False)
+
+
+def _path_to(state: State, parent: Mapping[State, Optional[tuple[State, GroundAction]]],
+             expansions: int) -> PlanResult:
+    """The found plan that ends in state, read back through parent."""
+    actions, states = [], [state]
+    while (link := parent[state]) is not None:
+        state, ga = link
+        actions.append(ga)
+        states.append(state)
+    return PlanResult(tuple(reversed(actions)), expansions, False, tuple(reversed(states)))
 
 
 def solves_unitary(model: ActionModel, problem: ProblemSpec, cfg: PlannerConfig) -> bool:
@@ -175,25 +194,8 @@ def solves_unitary(model: ActionModel, problem: ProblemSpec, cfg: PlannerConfig)
     return plan(problem, compile_actions(model, problem.object_table()), cfg).found
 
 
-def replay(init: State, actions: Sequence[GroundAction], table: Sequence[CompiledAction],
-           objects: Mapping[str, str]) -> PlanTrace:
-    """Record the interleaved trace of executing actions from init, one
-    table row per step. An action whose pre does not hold, or that has no
-    row, raises PreconditionViolation with core.apply's message."""
-    rows = {row[0]: row for row in table}
-    steps: list = [init]
-    atoms = init.atoms
-    for ga in actions:
-        row = rows.get(ga)
-        if row is None or not row[1] <= atoms:
-            raise PreconditionViolation(f"{ga.pretty()} is not applicable")
-        atoms = (atoms - row[3]) | row[2]
-        steps.extend([ga, State(atoms)])
-    return PlanTrace(tuple(sorted(objects.items())), tuple(steps))
-
-
-def _random_walk(state: Atoms, table: Sequence[CompiledAction], length: int,
-                 rng: np.random.Generator) -> Atoms:
+def _random_walk(state: State, table: Sequence[CompiledAction], length: int,
+                 rng: np.random.Generator) -> State:
     """Self-avoiding walk: never revisit a state, so steps make progress
     instead of cycling (plain uniform walks mostly pace back and forth)."""
     seen = {state}
@@ -212,20 +214,19 @@ def _random_walk(state: Atoms, table: Sequence[CompiledAction], length: int,
 
 
 def sample_problem(index: int, spec: GenerationSpec, model: ActionModel, sampler: Sampler,
-                   tables: dict[tuple, tuple[CompiledAction, ...]], attempt: int = 0,
-                   walk_range: tuple[int, int] = (3, 12)) -> ProblemSpec:
+                   tables: dict[tuple, tuple[CompiledAction, ...]], attempt: int = 0) -> ProblemSpec:
     """One random problem: sampled objects and init, goal via random walk.
 
     The goal is the full state reached by a seeded self-avoiding walk of
-    3..12 steps, so a plan always exists and is rarely trivial. The walk
-    reads tables[objects], the compile_actions table of the problem's
+    WALK_RANGE steps, so a plan always exists and is rarely trivial. The
+    walk reads tables[objects], the compile_actions table of the problem's
     ProblemSpec.objects, compiling and storing it first if it is missing.
     """
     if spec.catalog_size:
         index = index % spec.catalog_size
     rng = stream_rng(spec.rng_seed, "problem", index, attempt)
     objects, init = sampler(rng, spec.object_count_ranges)
-    length = int(rng.integers(walk_range[0], walk_range[1] + 1))
+    length = int(rng.integers(WALK_RANGE[0], WALK_RANGE[1] + 1))
     key = tuple(sorted(objects.items()))
     if key not in tables:
         tables[key] = compile_actions(model, objects)
@@ -234,7 +235,7 @@ def sample_problem(index: int, spec: GenerationSpec, model: ActionModel, sampler
         domain=model.schema.name,
         objects=key,
         init=init,
-        goal=_random_walk(init.atoms, tables[key], length, rng),
+        goal=_random_walk(init, tables[key], length, rng),
     )
 
 
@@ -243,32 +244,33 @@ def generate_traces(
     model: ActionModel,
     cfg: PlannerConfig,
     sampler: Sampler,
-    max_retries: int = 20,
 ) -> list[PlanTrace]:
     """problem_count traces, each validated against the generating model.
 
     The i-th trace depends only on (rng_seed, i), so shorter runs are
     exact prefixes of longer ones and reruns are byte-identical. Each
     distinct object set is compiled once, on first use, and its table
-    serves the walk, the search and the replay of every problem over it.
+    serves the walk and the search of every problem over it; a trace
+    interleaves the states and actions of the plan the search found.
     """
     traces = []
     tables: dict[tuple, tuple[CompiledAction, ...]] = {}
     for index in range(spec.problem_count):
         trace = None
-        for attempt in range(max_retries):
+        for attempt in range(MAX_RETRIES):
             problem = sample_problem(index, spec, model, sampler, tables, attempt)
-            if problem.goal <= problem.init.atoms:
+            if problem.goal <= problem.init:
                 continue
-            table = tables[problem.objects]
-            result = plan(problem, table, cfg)
+            result = plan(problem, tables[problem.objects], cfg)
             if result.actions:
-                trace = replay(problem.init, result.actions, table, problem.object_table())
+                steps: list = [None] * (2 * len(result.actions) + 1)
+                steps[::2], steps[1::2] = result.states, result.actions
+                trace = PlanTrace(problem.objects, tuple(steps))
                 break
         if trace is None:
             raise GenerationError(
                 f"no solvable problem with a nonempty plan for index {index} "
-                f"after {max_retries} attempts"
+                f"after {MAX_RETRIES} attempts"
             )
         traces.append(trace)
     return traces

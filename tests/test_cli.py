@@ -137,6 +137,10 @@ def test_config_rejects_unknown_keys():
         parse_config("domain")
     with pytest.raises(ValueError):
         parse_config("include_reference = maybe")
+    for text in ("trace_count = abc", "schedule = 10,x", "object_ranges = room",
+                 "object_ranges = room:x-3", "seed = 1\nseed = 2"):
+        with pytest.raises(ValueError, match="config line"):
+            parse_config(text)
 
 
 def test_config_hash_changes_with_content():

@@ -9,12 +9,10 @@ from pdeeplearn.core import (
     PlanTrace,
     PreconditionViolation,
     SchemaMismatchError,
-    State,
     apply,
     first_mismatch,
     is_applicable,
     make_entry,
-    make_state,
     validate_trace,
 )
 from pdeeplearn.domains import get_domain
@@ -28,7 +26,7 @@ def gripper():
 
 
 def _pick_state():
-    return make_state([
+    return frozenset([
         GroundAtom("at", ("b1", "r1")),
         GroundAtom("at-robby", ("rob1", "r1")),
         GroundAtom("free", ("rob1", "g1")),
@@ -46,12 +44,12 @@ def test_empty_pre_list_is_vacuously_applicable(gripper):
     schema, model = gripper
     move_any = model.replace_entry(make_entry("move"))
     ga = GroundAction("move", ("rob1", "r1", "r2"))
-    assert is_applicable(make_state([]), ga, move_any)
+    assert is_applicable(frozenset(), ga, move_any)
 
 
 def test_pick_not_applicable_without_ball_at_room(gripper):
     _, model = gripper
-    state = make_state([
+    state = frozenset([
         GroundAtom("at-robby", ("rob1", "r1")),
         GroundAtom("free", ("rob1", "g1")),
     ])
@@ -69,7 +67,7 @@ def test_apply_pick_adds_carry_and_deletes_at_and_free(gripper):
     _, model = gripper
     ga = GroundAction("pick", ("rob1", "b1", "r1", "g1"))
     result = apply(_pick_state(), ga, model)
-    assert result.atoms == frozenset([
+    assert result == frozenset([
         GroundAtom("at-robby", ("rob1", "r1")),
         GroundAtom("carry", ("rob1", "g1", "b1")),
     ])
@@ -78,15 +76,15 @@ def test_apply_pick_adds_carry_and_deletes_at_and_free(gripper):
 def test_apply_leaves_input_state_unmodified(gripper):
     _, model = gripper
     state = _pick_state()
-    before = frozenset(state.atoms)
+    before = set(state)
     apply(state, GroundAction("pick", ("rob1", "b1", "r1", "g1")), model)
-    assert state.atoms == before
+    assert state == before
 
 
 def test_apply_on_inapplicable_action_raises(gripper):
     _, model = gripper
     with pytest.raises(PreconditionViolation):
-        apply(make_state([]), GroundAction("pick", ("rob1", "b1", "r1", "g1")), model)
+        apply(frozenset(), GroundAction("pick", ("rob1", "b1", "r1", "g1")), model)
 
 
 def test_empty_effects_leave_state_unchanged(gripper):
@@ -114,7 +112,7 @@ def test_apply_is_deterministic(gripper):
 def test_frame_property_untouched_atoms_preserved(gripper):
     _, model = gripper
     bystander = GroundAtom("at", ("b2", "r2"))
-    state = make_state(list(_pick_state().atoms) + [bystander])
+    state = frozenset(list(_pick_state()) + [bystander])
     result = apply(state, GroundAction("pick", ("rob1", "b1", "r1", "g1")), model)
     assert bystander in result
 
@@ -135,7 +133,7 @@ def test_validate_trace_accepts_replayed_transitions(gripper):
 def test_validate_trace_rejects_leftover_deleted_atom(gripper):
     _, model = gripper
     trace = _tiny_trace(model)
-    bad_final = State(trace.goal_state.atoms | {GroundAtom("at", ("b1", "r1"))})
+    bad_final = trace.goal_state | {GroundAtom("at", ("b1", "r1"))}
     bad = PlanTrace(trace.objects, trace.steps[:-1] + (bad_final,))
     assert not validate_trace(bad, model)
     assert "mismatch" in first_mismatch(bad, model)

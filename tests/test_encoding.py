@@ -104,7 +104,7 @@ def test_training_sets_prestate_and_introduced_slots(gripper):
         block = layout.block(ga.action)
         for k, ref in enumerate(block):
             atom = ref.ground(ga.args)
-            expected = 1.0 if (atom in before.atoms or atom in after.atoms - before.atoms) else 0.0
+            expected = 1.0 if (atom in before or atom in after - before) else 0.0
             assert seq.inputs[t, offset + k] == expected
         # other action blocks stay zero
         for other in layout.actions:

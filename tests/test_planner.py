@@ -10,11 +10,12 @@ import pytest
 from pdeeplearn import candidates as cand
 from pdeeplearn import tracegen
 from pdeeplearn.core import ActionModel, GroundAtom, apply, is_applicable, make_entry, validate_trace
-from pdeeplearn.core import GroundAction, PreconditionViolation
 from pdeeplearn.core import LiftedPredicateRef as Ref
 from pdeeplearn.domains import get_domain, load_domain
+from pdeeplearn.mining import frequent_pairs
 from pdeeplearn.pddl import ProblemSpec, serialize_traces
-from pdeeplearn.pipeline import generate, load, shipped_config
+from pdeeplearn.pipeline import generate, load, mine, sample, shipped_config
+from pdeeplearn.pruning import prune_candidates
 from pdeeplearn.tracegen import (
     GenerationSpec,
     PlannerConfig,
@@ -23,7 +24,6 @@ from pdeeplearn.tracegen import (
     generate_traces,
     ground_actions,
     plan,
-    replay,
     solves_unitary,
 )
 
@@ -85,7 +85,7 @@ def _exhaustive_shortest(problem, model, limit=6):
                     ok = False
                     break
                 state = apply(state, ga, model)
-            if ok and problem.goal <= state.atoms:
+            if ok and problem.goal <= state:
                 return length
     return None
 
@@ -104,36 +104,21 @@ def test_greedy_strategy_still_reaches_the_goal(gripper):
     state = unitary.init
     for ga in result.actions:
         state = apply(state, ga, model)
-    assert unitary.goal <= state.atoms
+    assert unitary.goal <= state
 
 
-def test_plan_replays_through_apply(gripper):
-    info, _, model, unitary = gripper
-    result = plan(unitary, _table(unitary, model), PlannerConfig())
-    state = unitary.init
-    for ga in result.actions:
-        assert is_applicable(state, ga, model)
-        state = apply(state, ga, model)
-
-
-@pytest.mark.parametrize("bad", [
-    ("drop", ("rob1", "b1", "r1", "g1")),   # well typed, but the robot has left r1
-    ("pick", ("b1", "rob1", "r2", "g1")),   # ill typed, so it has no table row
-])
-def test_replay_raises_apply_s_violation_for_an_inapplicable_step(gripper, bad):
-    # The unitary plan is pick, move, drop; the bad step goes after move.
-    _, _, model, unitary = gripper
-    table = _table(unitary, model)
-    actions = plan(unitary, table, PlannerConfig()).actions
-    bad = GroundAction(*bad)
-    actions = actions[:2] + (bad,) + actions[2:]
-    state = unitary.init
-    with pytest.raises(PreconditionViolation) as applied:
-        for ga in actions:
-            state = apply(state, ga, model)
-    with pytest.raises(PreconditionViolation) as replayed:
-        replay(unitary.init, actions, table, unitary.object_table())
-    assert str(replayed.value) == str(applied.value) == f"{bad.pretty()} is not applicable"
+def test_plan_replays_through_apply():
+    # The states plan returns are the ones core.apply reaches from init.
+    for name, strategy in itertools.product(("gripper", "kiln", "battery"), tracegen.STRATEGIES):
+        _, model, unitary = get_domain(name).load()
+        result = plan(unitary, _table(unitary, model), PlannerConfig(strategy=strategy))
+        assert result.found, (name, strategy)
+        states = [unitary.init]
+        for ga in result.actions:
+            assert is_applicable(states[-1], ga, model)
+            states.append(apply(states[-1], ga, model))
+        assert result.states == tuple(states), (name, strategy)
+        assert unitary.goal <= states[-1]
 
 
 # Distinct object sets the shipped configs sample at their pinned seeds,
@@ -156,6 +141,36 @@ def test_generation_compiles_each_object_set_once(name, monkeypatch):
     assert generate(config, domain) == plain
     assert len(seen) == len(set(seen)) == GOLDEN_OBJECT_SETS[name]
     assert {t.objects for t in plain} <= set(seen)
+
+
+# Planner work of the shipped configs at their pinned seeds:
+# (calls, expansions) of plan during generate, then during sample.
+GOLDEN_PLANNER_WORK = {
+    "gripper": ((100, 2573), (38, 162)),
+    "kiln": ((100, 1485), (74, 98)),
+    "battery": ((100, 516), (44, 64)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PLANNER_WORK))
+def test_planner_work_is_pinned(name, monkeypatch):
+    config = shipped_config(name)
+    domain = load(config)
+    expansions = []
+
+    def spy(problem, table, cfg):
+        result = plan(problem, table, cfg)
+        expansions.append(result.expansions)
+        return result
+
+    monkeypatch.setattr(tracegen, "plan", spy)
+    traces = generate(config, domain)
+    generated = len(expansions), sum(expansions)
+    space = cand.build_space(domain.schema, config.strict_del, config.max_relevant)
+    pruned = prune_candidates(space, frequent_pairs(mine(config, traces))).space
+    expansions.clear()
+    sample(config, domain, pruned)
+    assert (generated, (len(expansions), sum(expansions))) == GOLDEN_PLANNER_WORK[name]
 
 
 def test_solves_unitary_true_for_reference_all_domains():
@@ -262,10 +277,10 @@ def test_compiled_table_matches_is_applicable_and_apply(name):
             for state in states:
                 for ga, pre, add, dele in table:
                     applicable = is_applicable(state, ga, model)
-                    assert (pre <= state.atoms) == applicable
+                    assert (pre <= state) == applicable
                     if applicable:
                         fired += 1
-                        assert (state.atoms - dele) | add == apply(state, ga, model).atoms
+                        assert (state - dele) | add == apply(state, ga, model)
     assert fired > 0
 
 
