@@ -12,8 +12,9 @@ domain's record holds the recovery count (seeds with E = 0) and, per seed,
 the selected id, E, the margin of the top mean accuracy over the
 runner-up, how many models tie at the top, and the sha256 of scores_json.
 
-Only public pdeeplearn functions are called, so the same file measures
-any checkout that has pipeline.load and whose src/ is on PYTHONPATH. --into adds the run under
+Only public pdeeplearn functions are called and the pinned configs are
+read from the configs/ beside bench/, so the same file measures any
+checkout that has pipeline.load and whose src/ is on PYTHONPATH. --into adds the run under
 --label to a JSON file (replacing a run of that label); once the file
 holds two or more runs, its "agreement" block says, per domain, whether
 they recover equally often and score every seed to the same bytes.
@@ -42,13 +43,19 @@ from pdeeplearn.scoring import ranked, score_models, scores_json, train_folds
 
 SHIPPED = ("gripper", "kiln", "battery")
 FIRST_SEED, STOP_SEED = 1000, 1040
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped_config(name: str) -> pipeline.PipelineConfig:
+    """The pinned config of a shipped domain, as configs/<name>.cfg holds it."""
+    return pipeline.parse_config((CONFIGS / f"{name}.cfg").read_text())
 
 
 def prepare(name: str, **overrides):
     """One shipped domain up to its trained folds, as run_pipeline runs it;
     overrides replace fields of its shipped PipelineConfig.
     Returns (config, domain, pruned, traces, layout, folds)."""
-    config = replace(pipeline.shipped_config(name), **overrides)
+    config = replace(shipped_config(name), **overrides)
     domain = pipeline.load(config)
     traces = pipeline.generate(config, domain)
     space = cand.build_space(domain.schema, config.strict_del, config.max_relevant)

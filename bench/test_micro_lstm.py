@@ -36,9 +36,10 @@ from pdeeplearn.lstm import (
     train,
     zero_like,
 )
-from pdeeplearn.pipeline import generate, load, shipped_config
+from pdeeplearn.pipeline import generate, load
 from pdeeplearn.scoring import fold_split
 from pdeeplearn.util import stream_rng
+from sweep import shipped_config
 
 
 @dataclass

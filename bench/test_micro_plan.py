@@ -14,8 +14,9 @@ planner expansions.
 
 import pytest
 
-from pdeeplearn.pipeline import generate, load, shipped_config
+from pdeeplearn.pipeline import generate, load
 from pdeeplearn.tracegen import compile_actions, plan
+from sweep import shipped_config
 
 
 @pytest.fixture(scope="module", params=("gripper", "kiln", "battery"))

@@ -17,8 +17,9 @@ import pytest
 
 from pdeeplearn import candidates as cand
 from pdeeplearn.mining import frequent_pairs
-from pdeeplearn.pipeline import generate, load, mine, shipped_config
+from pdeeplearn.pipeline import generate, load, mine
 from pdeeplearn.pruning import prune_candidates
+from sweep import shipped_config
 
 
 @pytest.fixture(scope="module", params=("gripper", "kiln", "battery"))

@@ -52,6 +52,8 @@ from .encoding import EncodedSequence
 from .util import stream_rng
 
 PARAM_ORDER = ("W", "U", "b", "w_out", "b_out")
+# Adam's decay rates and epsilon, the defaults of Kingma & Ba (2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 class NumericError(RuntimeError):
@@ -103,14 +105,15 @@ class LstmParameters:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Fold training settings. Adam takes only learning_rate from here; its
+    decay rates and epsilon are the constants ADAM_BETA1, ADAM_BETA2 and
+    ADAM_EPSILON."""
+
     hidden_units: int = 128
     dropout_rate: float = 0.8
     epochs: int = 10
     folds: int = 5
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     # Multiplier on the input-weight initialization. Values above 1
     # couple the predicate slots more strongly into the recurrence, which
     # sharpens the accuracy drop for candidates whose encodings deviate
@@ -323,10 +326,11 @@ class AdamState:
 
 def adam_step(params: LstmParameters, grads: Optional[LstmParameters], state: AdamState,
               cfg: TrainConfig) -> LstmParameters:
-    """Update params in place and return them, in the efficient form of
-    Kingma & Ba (2015), section 2: the bias corrections fold into one
-    scalar step = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and into
-    eps_hat = eps * sqrt(1 - beta2^t), and p -= step * (m / (sqrt(v) +
+    """Update params in place and return them, with lr = cfg.learning_rate,
+    beta1 = ADAM_BETA1, beta2 = ADAM_BETA2 and eps = ADAM_EPSILON, in the
+    efficient form of Kingma & Ba (2015), section 2: the bias corrections
+    fold into one scalar step = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
+    into eps_hat = eps * sqrt(1 - beta2^t), and p -= step * (m / (sqrt(v) +
     eps_hat)) equals p -= lr * m_hat / (sqrt(v_hat) + eps). The operations
     are those of that out-of-place formula, in the same order, so the
     result is bit-identical to it. grads None is a zero gradient: the
@@ -335,18 +339,18 @@ def adam_step(params: LstmParameters, grads: Optional[LstmParameters], state: Ad
     p, m, v, s = _flat(params), state.m, state.v, state.scratch
     g = None if grads is None else _flat(grads)
     state.t += 1
-    root_c2 = np.sqrt(1.0 - cfg.beta2 ** state.t)
-    step = cfg.learning_rate * root_c2 / (1.0 - cfg.beta1 ** state.t)
-    m *= cfg.beta1
-    v *= cfg.beta2
+    root_c2 = np.sqrt(1.0 - ADAM_BETA2 ** state.t)
+    step = cfg.learning_rate * root_c2 / (1.0 - ADAM_BETA1 ** state.t)
+    m *= ADAM_BETA1
+    v *= ADAM_BETA2
     if g is not None:
-        np.multiply(g, 1.0 - cfg.beta1, out=s)
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
         m += s
-        np.multiply(g, 1.0 - cfg.beta2, out=s)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=s)
         s *= g
         v += s
     np.sqrt(v, out=s)
-    s += cfg.epsilon * root_c2
+    s += ADAM_EPSILON * root_c2
     np.divide(m, s, out=s)
     s *= step
     p -= s

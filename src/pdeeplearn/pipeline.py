@@ -190,43 +190,15 @@ class PipelineRun:
     timings: dict = field(default_factory=dict)
 
 
-# Tuned run settings for the shipped domains. Training is taken past the
-# ten-epoch default with dropout off and a high input gain so that wrong
-# candidate encodings visibly dent validation accuracy at this corpus
-# size; the sampler seed picks a competitor draw the reference model
-# beats strictly (see the scores table in each report for the margins).
-_SHIPPED = {
-    "gripper": dict(seed=7, sample_seed=1008, catalog=0, budget=8),
-    "kiln": dict(seed=42, sample_seed=1000, catalog=31, budget=20),
-    "battery": dict(seed=42, sample_seed=1001, catalog=31, budget=12),
-}
-
-
-def shipped_config(domain: str) -> PipelineConfig:
-    """The pinned, reproducible pipeline configuration for a shipped domain."""
-    if domain not in _SHIPPED:
-        raise KeyError(f"no shipped config for {domain!r}")
-    return PipelineConfig(
-        domain=domain,
-        trace_count=100,
-        min_support="0.2",
-        min_confidence="0.4",
-        stability_tolerance="0.4",
-        include_reference=True,
-        hidden_units=128,
-        dropout=0.0,
-        epochs=15,
-        folds=5,
-        learning_rate=1e-3,
-        init_gain=3.0,
-        **_SHIPPED[domain],
-    )
-
-
 def load(config: PipelineConfig) -> LoadedDomain:
-    """The config's domain, with its object_ranges over the default ranges."""
+    """The config's domain, with its object_ranges over the default ranges.
+    A range for a type the domain does not declare is a ValueError."""
     domain = load_domain(config.domain, config.unitary)
     ranges = {name: (lo, hi) for name, lo, hi in config.object_ranges}
+    undeclared = sorted(ranges.keys() - domain.schema.types)
+    if undeclared:
+        raise ValueError(f"object_ranges names undeclared types {undeclared}; "
+                         f"{domain.schema.name} declares {sorted(domain.schema.types)}")
     return replace(domain, ranges={**domain.ranges, **ranges})
 
 

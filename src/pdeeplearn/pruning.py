@@ -16,12 +16,11 @@ meets X iff the union over all partners does. Every candidate's
 predicate-name sets are bitmasks here, one bit per name, so the union
 over a partner's unpruned candidates is a bitwise OR and C1..C3 are
 three AND tests per candidate: one pass over each side of a pair instead
-of all m x n pairings, which are tested only to list witnesses.
+of all m x n pairings.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import json
 import math
@@ -45,37 +44,6 @@ class PruningEmptiedAction(RuntimeError):
 
 class NoViableModels(RuntimeError):
     """Planner screening rejected every drawn model."""
-
-
-class PairConstraint(enum.Enum):
-    SHARED_PRECONDITION = "C1"
-    ADDED_PRECONDITION = "C2"
-    DELETED_READDED = "C3"
-
-
-def check_pair_constraints(
-    first: ActionModelEntry, second: ActionModelEntry
-) -> frozenset[PairConstraint]:
-    """Which of C1..C3 the ordered candidate pairing satisfies.
-
-    Predicate identity across the two actions is judged on unifiable
-    lifted refs, i.e. on the shared predicate name; C1 requires the shared
-    ref on the first side to survive that action's del list.
-    """
-    def names(refs) -> frozenset[str]:
-        return frozenset(r.predicate for r in refs)
-
-    return frozenset(itertools.compress(PairConstraint, (
-        names(first.pre - first.delete) & names(second.pre),
-        names(first.add) & names(second.pre), names(first.delete) & names(second.add))))
-
-
-@dataclass(frozen=True)
-class PairConstraintWitness:
-    pair: tuple[str, str]
-    first_index: int
-    second_index: int
-    satisfied: frozenset[PairConstraint]
 
 
 @dataclass(frozen=True)
@@ -103,18 +71,16 @@ class PruneStats:
 class PruneResult:
     space: CandidateModelSpace
     stats: PruneStats
-    witnesses: Optional[tuple[PairConstraintWitness, ...]]
 
 
 def prune_candidates(
     space: CandidateModelSpace,
     pairs: Sequence[tuple[str, str]],
-    collect_witnesses: bool = False,
 ) -> PruneResult:
     """Keep the candidates that satisfy C1..C3 against the union of the
     partner's unpruned set, exactly those with a satisfying partner (see
     the module docstring). pair_evaluations is the number of pairings this
-    decides, the sum of |CAS_i| x |CAS_j|; only collect_witnesses tests them.
+    decides without testing them, the sum of |CAS_i| x |CAS_j|.
 
     Raises PruningEmptiedAction if any action would end up with an empty
     candidate set (the generating model's own entries always survive on
@@ -125,7 +91,7 @@ def prune_candidates(
     rows = {cas.action: cas.masks([bit[r.predicate] for r in cas.refs])
             for cas in space.per_action}
     retained: dict[str, np.ndarray] = {}
-    evaluations, witnesses = 0, []
+    evaluations = 0
     for first, second in pairs:
         (_, add, dele, kept), (pre_second, add_second, _, _) = rows[first], rows[second]
         evaluations += len(kept) * len(pre_second)
@@ -135,13 +101,6 @@ def prune_candidates(
         keep_second = (any_kept | any_add) & pre_second | any_del & add_second
         retained[first] = retained.get(first, False) | (keep_first != 0)
         retained[second] = retained.get(second, False) | (keep_second != 0)
-        if collect_witnesses:
-            satisfied = np.stack([kept[:, None] & pre_second, add[:, None] & pre_second,
-                                  dele[:, None] & add_second]) != 0
-            witnesses.extend(PairConstraintWitness(
-                (first, second), int(i), int(j),
-                frozenset(itertools.compress(PairConstraint, satisfied[:, i, j])))
-                for i, j in np.argwhere(satisfied.any(axis=0)))
 
     reduced_sets = []
     for cas in space.per_action:
@@ -151,8 +110,7 @@ def prune_candidates(
             cas = replace(cas, codes=cas.codes[retained[cas.action]])
         reduced_sets.append(cas)
     reduced = CandidateModelSpace(space.schema, tuple(reduced_sets))
-    return PruneResult(reduced, PruneStats(evaluations, space.counts(), reduced.counts()),
-                       tuple(witnesses) if collect_witnesses else None)
+    return PruneResult(reduced, PruneStats(evaluations, space.counts(), reduced.counts()))
 
 
 # -- sampling -----------------------------------------------------------------

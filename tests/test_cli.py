@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pdeeplearn.cli import main
-from pdeeplearn.pipeline import PhaseError, PipelineConfig, parse_config, run_pipeline
+from pdeeplearn.pipeline import PhaseError, PipelineConfig, load, parse_config, run_pipeline
 
 
 def test_generate_writes_trace_file(tmp_path, capsys):
@@ -18,12 +18,11 @@ def test_generate_writes_trace_file(tmp_path, capsys):
     assert text.count("(trace") == 6
 
 
-def test_generate_catalog_writes_the_traces_of_the_pipeline(tmp_path):
+def test_generate_catalog_writes_the_traces_of_the_pipeline(tmp_path, shipped_config):
     from dataclasses import replace
 
     from pdeeplearn.domains import load_domain
     from pdeeplearn.pddl import serialize_traces
-    from pdeeplearn.pipeline import shipped_config
     from pdeeplearn.tracegen import (GenerationSpec, PlannerConfig, doubling_schedule,
                                      generate_traces)
 
@@ -203,23 +202,26 @@ skip_mining = true
     assert report["space_size_initial"] == report["space_size_final"]
 
 
-def test_shipped_config_files_match_the_pinned_configs():
-    from pathlib import Path
-
-    from pdeeplearn.pipeline import shipped_config
-
-    configs = Path(__file__).resolve().parents[1] / "configs"
-    for name in ("gripper", "kiln", "battery"):
-        text = (configs / f"{name}.cfg").read_text()
-        assert parse_config(text) == shipped_config(name)
-
-
 def test_pipeline_bad_config_exit_code(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("domain = not-a-domain\n")
     code = main(["pipeline", "--config", str(config), "--out-root",
                  str(tmp_path / "runs")])
     assert code == 1  # config phase failure
+
+
+def test_object_ranges_must_name_declared_types(tmp_path, capsys):
+    for ranges, undeclared in (("rooom:2-3", "['rooom']"), (":2-3", "['']")):
+        text = f"domain = kiln\nobject_ranges = {ranges}\n"
+        message = f"object_ranges names undeclared types {undeclared}; kiln declares ['piece']"
+        with pytest.raises(ValueError) as caught:
+            load(parse_config(text))
+        assert str(caught.value) == message
+        config = tmp_path / "ranges.cfg"
+        config.write_text(text)
+        assert main(["pipeline", "--config", str(config), "--out-root",
+                     str(tmp_path / "runs")]) == 1
+        assert capsys.readouterr().err == f"error: phase 'config' failed: {message}\n"
 
 
 def test_a_schedule_point_above_the_trace_count_is_an_error(tmp_path, capsys):
@@ -326,10 +328,10 @@ def test_config_value_types_follow_the_field_defaults():
         parse_config("budget = 1.5")
 
 
-def test_the_subcommand_chain_writes_what_the_pipeline_writes(tmp_path):
+def test_the_subcommand_chain_writes_what_the_pipeline_writes(tmp_path, shipped_config):
     from dataclasses import replace
 
-    from pdeeplearn.pipeline import run_pipeline, shipped_config
+    from pdeeplearn.pipeline import run_pipeline
 
     config = replace(shipped_config("kiln"), trace_count=40, folds=2, epochs=1, hidden_units=4)
     run_dir = run_pipeline(config, tmp_path / "runs").run_dir

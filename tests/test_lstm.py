@@ -9,6 +9,9 @@ import pytest
 
 from pdeeplearn.encoding import EncodedSequence
 from pdeeplearn.lstm import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     PARAM_ORDER,
     AdamState,
     LstmParameters,
@@ -302,17 +305,17 @@ def test_adam_step_matches_the_out_of_place_formula_bit_for_bit():
         assert returned is params
         for name in PARAM_ORDER:
             g = getattr(grads, name)
-            m[name] = cfg.beta1 * m[name] + (1.0 - cfg.beta1) * g
-            v[name] = cfg.beta2 * v[name] + (1.0 - cfg.beta2) * g * g
-            root_c2 = np.sqrt(1.0 - cfg.beta2 ** t)
-            step = cfg.learning_rate * root_c2 / (1.0 - cfg.beta1 ** t)
+            m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+            v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
+            root_c2 = np.sqrt(1.0 - ADAM_BETA2 ** t)
+            step = cfg.learning_rate * root_c2 / (1.0 - ADAM_BETA1 ** t)
             # The textbook form: the same update up to rounding.
-            m_hat = m[name] / (1.0 - cfg.beta1 ** t)
-            v_hat = v[name] / (1.0 - cfg.beta2 ** t)
+            m_hat = m[name] / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v[name] / (1.0 - ADAM_BETA2 ** t)
             textbook = expected[name] - cfg.learning_rate * m_hat / (
-                np.sqrt(v_hat) + cfg.epsilon)
+                np.sqrt(v_hat) + ADAM_EPSILON)
             expected[name] = expected[name] - step * (m[name] / (
-                np.sqrt(v[name]) + cfg.epsilon * root_c2))
+                np.sqrt(v[name]) + ADAM_EPSILON * root_c2))
             assert np.array_equal(getattr(params, name), expected[name])
             assert np.allclose(expected[name], textbook, rtol=1e-12, atol=0)
 

@@ -14,7 +14,7 @@ from pdeeplearn.core import LiftedPredicateRef as Ref
 from pdeeplearn.domains import get_domain, load_domain
 from pdeeplearn.mining import frequent_pairs
 from pdeeplearn.pddl import ProblemSpec, serialize_traces
-from pdeeplearn.pipeline import generate, load, mine, sample, shipped_config
+from pdeeplearn.pipeline import generate, load, mine, sample
 from pdeeplearn.pruning import prune_candidates
 from pdeeplearn.tracegen import (
     GenerationSpec,
@@ -127,7 +127,7 @@ GOLDEN_OBJECT_SETS = {"gripper": 12, "kiln": 3, "battery": 6}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_OBJECT_SETS))
-def test_generation_compiles_each_object_set_once(name, monkeypatch):
+def test_generation_compiles_each_object_set_once(name, monkeypatch, shipped_config):
     config = shipped_config(name)
     domain = load(config)
     plain = generate(config, domain)
@@ -143,6 +143,16 @@ def test_generation_compiles_each_object_set_once(name, monkeypatch):
     assert {t.objects for t in plain} <= set(seen)
 
 
+@pytest.mark.parametrize("name", ["kiln", "battery"])
+def test_catalog_corpora_repeat_the_first_catalog_traces(name, shipped_config):
+    # Problem i of a catalog corpus is problem i % catalog, so past the
+    # catalog every trace is one generated before it.
+    config = shipped_config(name)
+    traces = generate(config, load(config))
+    assert 0 < config.catalog < len(traces)
+    assert all(trace == traces[i % config.catalog] for i, trace in enumerate(traces))
+
+
 # Planner work of the shipped configs at their pinned seeds:
 # (calls, expansions) of plan during generate, then during sample.
 GOLDEN_PLANNER_WORK = {
@@ -153,7 +163,7 @@ GOLDEN_PLANNER_WORK = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PLANNER_WORK))
-def test_planner_work_is_pinned(name, monkeypatch):
+def test_planner_work_is_pinned(name, monkeypatch, shipped_config):
     config = shipped_config(name)
     domain = load(config)
     expansions = []
@@ -317,7 +327,7 @@ GOLDEN_TRACE_DIGESTS = {
 
 
 @pytest.mark.parametrize("name,shift,strategy", sorted(GOLDEN_TRACE_DIGESTS))
-def test_shipped_traces_match_golden_digests(name, shift, strategy):
+def test_shipped_traces_match_golden_digests(name, shift, strategy, shipped_config):
     config = shipped_config(name)
     seed = config.seed + shift
     domain = load_domain(config.domain)

@@ -9,22 +9,20 @@ from dataclasses import replace
 import pytest
 
 from pdeeplearn import candidates as cand
-from pdeeplearn.core import make_entry
+from pdeeplearn.core import ActionSignature, DomainSchema, PredicateSchema, make_entry
 from pdeeplearn.core import LiftedPredicateRef as Ref
 from pdeeplearn.domains import get_domain, load_domain
 from pdeeplearn.mining import SequenceDatabase, frequent_pairs, stability_scan
 from pdeeplearn.pruning import (
     NoViableModels,
-    PairConstraint,
     PruneStats,
     PruningEmptiedAction,
-    check_pair_constraints,
     manifest_json,
     manifest_load,
     prune_candidates,
     sample_models,
 )
-from pdeeplearn.pipeline import generate, load, mine, sample, shipped_config
+from pdeeplearn.pipeline import generate, load, mine, sample
 from pdeeplearn.tracegen import GenerationSpec, PlannerConfig, doubling_schedule, generate_traces
 
 
@@ -35,25 +33,54 @@ def gripper():
     return info, schema, model, unitary
 
 
+# Two actions over one type and one binary predicate: each action's refs
+# are (at 0 1) and (at 1 0).
+TOY = DomainSchema("toy", frozenset({"t"}), (PredicateSchema("at", ("t", "t")),),
+                   (ActionSignature("a", ("t", "t")), ActionSignature("b", ("t", "t"))))
+
+
+def _pairing_kept(schema, first, second):
+    """Prune the pair (first.action, second.action) in the space where each
+    of the two entries is its action's only candidate: True when both
+    survive, False when the pairing satisfies none of C1..C3 and pruning
+    empties an action."""
+    only = {first.action: first, second.action: second}
+    space = cand.build_space(schema)
+    space = cand.CandidateModelSpace(schema, tuple(
+        cas.listing([only[cas.action]]) if cas.action in only else cas
+        for cas in space.per_action))
+    try:
+        result = prune_candidates(space, [(first.action, second.action)])
+    except PruningEmptiedAction:
+        return False
+    assert result.space == space
+    return True
+
+
 def test_worked_move_pick_pair_satisfies_only_c3(gripper):
     # move: ((at-robby), (), (not at-robby)); pick: ((carry), (at-robby),
     # (not at)) satisfy exactly the deleted-readded constraint.
+    _, schema, _, _ = gripper
     move_entry = make_entry("move", pre=[Ref("at-robby", (0, 1))],
                             delete=[Ref("at-robby", (0, 1))])
     pick_entry = make_entry("pick", pre=[Ref("carry", (0, 3, 1))],
                             add=[Ref("at-robby", (0, 2))],
                             delete=[Ref("at", (1, 2))])
-    assert check_pair_constraints(move_entry, pick_entry) == {PairConstraint.DELETED_READDED}
+    assert _pairing_kept(schema, move_entry, pick_entry)
+    # Without pick adding at-robby back, C3 fails and nothing else holds.
+    pick_keeps_robby = make_entry("pick", pre=[Ref("carry", (0, 3, 1))],
+                                  delete=[Ref("at", (1, 2))])
+    assert not _pairing_kept(schema, move_entry, pick_keeps_robby)
 
 
 def test_add_feeding_pre_is_c2():
     first = make_entry("a", add=[Ref("at", (0, 1))])
     second = make_entry("b", pre=[Ref("at", (0, 1))])
-    assert check_pair_constraints(first, second) == {PairConstraint.ADDED_PRECONDITION}
+    assert _pairing_kept(TOY, first, second)
 
 
 def test_empty_entries_satisfy_nothing():
-    assert check_pair_constraints(make_entry("a"), make_entry("b")) == frozenset()
+    assert not _pairing_kept(TOY, make_entry("a"), make_entry("b"))
 
 
 def test_shared_precondition_requires_survival_of_del():
@@ -62,17 +89,15 @@ def test_shared_precondition_requires_survival_of_del():
     second = make_entry("b", pre=[shared])
     # The shared ref is deleted by the first action, so C1 fails; C3
     # would need the second action to add it back.
-    assert check_pair_constraints(first, second) == frozenset()
-    second_adds = make_entry("b", pre=[shared], add=[])
+    assert not _pairing_kept(TOY, first, second)
     first_softer = make_entry("a", pre=[shared])
-    assert check_pair_constraints(first_softer, second) == {
-        PairConstraint.SHARED_PRECONDITION}
+    assert _pairing_kept(TOY, first_softer, second)
 
 
 def test_unifiable_means_same_predicate_name_any_binding():
     first = make_entry("a", add=[Ref("at", (0, 1))])
     second = make_entry("b", pre=[Ref("at", (1, 0))])
-    assert PairConstraint.ADDED_PRECONDITION in check_pair_constraints(first, second)
+    assert _pairing_kept(TOY, first, second)
 
 
 def test_empty_pair_list_is_a_no_op(gripper):
@@ -144,23 +169,6 @@ def test_pruning_that_empties_an_action_raises():
     with pytest.raises(PruningEmptiedAction) as err:
         prune_candidates(crippled, [("glaze", "glaze")])
     assert err.value.action == "glaze"
-
-
-def test_witnesses_collected_on_demand(gripper):
-    _, schema, model, _ = gripper
-    space = cand.build_space(schema)
-    small_sets = []
-    for c in space.per_action:
-        ref_entry = model.entry(c.action)
-        keep = (ref_entry,) + tuple(e for e in c if e != ref_entry)[:4]
-        small_sets.append(c.listing(keep))
-    small = cand.CandidateModelSpace(schema, tuple(small_sets))
-    result = prune_candidates(small, [("pick", "move")], collect_witnesses=True)
-    assert result.witnesses
-    for witness in result.witnesses:
-        first = small.for_action("pick").entry(witness.first_index)
-        second = small.for_action("move").entry(witness.second_index)
-        assert check_pair_constraints(first, second) == witness.satisfied
 
 
 def test_budget_one_with_reference_gives_reference_only(gripper):
@@ -358,10 +366,9 @@ def test_set_rule_matches_the_pairwise_oracle_on_full_spaces(shipped_spaces):
         assert _assert_matches_oracle(space, pairs), (name, strict_del)
 
 
-def _pinned_space_and_pairs(name):
+def _pinned_space_and_pairs(config):
     """The enumerated space and mined pairs of a shipped config, built as
     run_pipeline builds them."""
-    config = shipped_config(name)
     domain = load_domain(config.domain)
     schedule = doubling_schedule(config.trace_count)
     spec = GenerationSpec(config.trace_count, domain.ranges, schedule, config.seed,
@@ -376,37 +383,10 @@ def _pinned_space_and_pairs(name):
 
 
 @pytest.mark.parametrize("name", ["gripper", "kiln", "battery"])
-def test_set_rule_matches_the_pairwise_oracle_on_pinned_configs(name):
-    space, pairs = _pinned_space_and_pairs(name)
+def test_set_rule_matches_the_pairwise_oracle_on_pinned_configs(name, shipped_config):
+    space, pairs = _pinned_space_and_pairs(shipped_config(name))
     assert pairs
     assert _assert_matches_oracle(space, pairs)
-
-
-def test_witness_indices_are_exactly_the_kept_indices(shipped_spaces):
-    rng = random.Random(23)
-    for (name, strict_del), space in sorted(shipped_spaces.items()):
-        actions = list(space.action_names())
-        for first, second in [(a, b) for a in actions for b in actions]:
-            subspace = _random_subspace(rng, space)
-            try:
-                result = prune_candidates(subspace, [(first, second)],
-                                          collect_witnesses=True)
-            except PruningEmptiedAction:
-                continue
-            kept = {a: set(map(list(subspace.for_action(a)).index,
-                               result.space.for_action(a)))
-                    for a in (first, second)}
-            firsts = {w.first_index for w in result.witnesses}
-            seconds = {w.second_index for w in result.witnesses}
-            if first == second:
-                assert firsts | seconds == kept[first]
-            else:
-                assert (firsts, seconds) == (kept[first], kept[second])
-            for w in result.witnesses:
-                assert w.pair == (first, second)
-                assert w.satisfied == check_pair_constraints(
-                    subspace.for_action(first).entry(w.first_index),
-                    subspace.for_action(second).entry(w.second_index))
 
 
 # sha256 of candidates.sexp, pruned.sexp and models.json as run_pipeline
@@ -448,7 +428,7 @@ GOLDEN_FRONTEND_DIGESTS = {
 
 
 @pytest.mark.parametrize("name,shift", sorted(GOLDEN_FRONTEND_DIGESTS))
-def test_shipped_frontend_artifacts_match_golden_digests(name, shift):
+def test_shipped_frontend_artifacts_match_golden_digests(name, shift, shipped_config):
     config = shipped_config(name)
     config = replace(config, seed=config.seed + shift, sample_seed=config.sample_seed + shift)
     domain = load(config)

@@ -14,7 +14,7 @@ from pdeeplearn.encoding import (EncodedSequence, build_layout, encode_corpus, e
                                  encode_validation, max_action_count)
 from pdeeplearn.lstm import (PARAM_ORDER, TrainConfig, TrainingDivergence, accuracy,
                              lstm_forward, train)
-from pdeeplearn.pipeline import run_pipeline, shipped_config
+from pdeeplearn.pipeline import run_pipeline
 from pdeeplearn.pruning import SampledModel, SampledModelSet, sample_models
 from pdeeplearn.scoring import ModelScore, fold_split, ranked, score_models, train_folds
 from pdeeplearn.tracegen import GenerationSpec, PlannerConfig, generate_traces
@@ -230,7 +230,7 @@ def test_worker_exception_reaches_the_caller_unchanged(kiln_setup, cpus, monkeyp
     assert_no_child_process()
 
 
-def test_no_process_outlives_run_pipeline(tmp_path, cpus):
+def test_no_process_outlives_run_pipeline(tmp_path, cpus, shipped_config):
     cpus(2)
     config = replace(shipped_config("kiln"), trace_count=20, hidden_units=8, epochs=1,
                      folds=2)
